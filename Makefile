@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-par bench-shard lint trace-smoke matrix-smoke probes-smoke obs-report
+.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-par bench-shard bench-smoke lint trace-smoke matrix-smoke probes-smoke obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -85,11 +85,26 @@ bench:
 bench-quick:
 	$(PYTHON) benchmarks/perf_report.py --quick
 
-# All scenarios across a multiprocessing pool; fingerprints merge
-# deterministically by scenario name.  Use for fast fingerprint smoke —
+# All scenarios across forked workers (repro.cloud.fleet.fork_map, the
+# same pool the matrix and chaos fan-outs use); fingerprints merge
+# deterministically in scenario order.  Use for fast fingerprint smoke —
 # concurrent wall clocks contend, so `bench` stays the timing of record.
 bench-par:
 	$(PYTHON) benchmarks/perf_report.py --parallel
+
+# The repo benchmark's API guard: one short traced fan-out rep through
+# perfbench (warm_fleet, WarmFleet.branch and every entry point
+# perfbench/layers.py wraps).  run.py exits 0 even when units fail, so
+# the target checks that its last JSON line reports "correct": true.
+bench-smoke:
+	mkdir -p build
+	$(PYTHON) perfbench/run.py --workload fleet_fanout_4x12 --seed 42 \
+		--seconds 1 --trace 1 > build/bench-smoke.jsonl
+	$(PYTHON) -c "import json, sys; \
+		last = json.loads(open('build/bench-smoke.jsonl').read().splitlines()[-1]); \
+		print('bench-smoke: correct=%s failed=%s/%s' \
+			% (last.get('correct'), last.get('failed'), last.get('attempted'))); \
+		sys.exit(0 if last.get('correct') is True else 1)"
 
 # Traced end-to-end run + schema validation of the exported trace.
 # CI runs this and uploads build/trace-smoke.json as an artifact (open

@@ -54,9 +54,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_report.py --parallel # process pool
     PYTHONPATH=src python benchmarks/perf_report.py -o out.json
 
-``--parallel`` fans the scenarios out over a ``multiprocessing`` pool
-(one process each) and merges the results deterministically in
-``SCENARIOS`` order — fingerprints are the point of that mode; the
+``--parallel`` fans the scenarios out over forked workers
+(:func:`repro.cloud.fleet.fork_map`, one scenario each) and merges the
+results deterministically in ``SCENARIOS`` order — fingerprints are the point of that mode; the
 wall clocks of concurrent runs contend for cores, so the sequential
 run stays the timing of record.
 """
@@ -1364,12 +1364,6 @@ def _measure(fn):
     return min(wall_a, wall_b), fingerprint, perf
 
 
-def _run_scenario_by_name(name):
-    """Pool worker: run one scenario in its own process."""
-    fn = dict(SCENARIOS)[name]
-    return name, _measure(fn)
-
-
 def run_report(quick=False, parallel=False):
     names = [
         name
@@ -1378,27 +1372,19 @@ def run_report(quick=False, parallel=False):
     ]
     results = {}
     if parallel and len(names) > 1:
-        import multiprocessing
+        from repro.cloud.fleet import fork_map
 
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        ctx = multiprocessing.get_context(method)
         workers = min(len(names), os.cpu_count() or 1)
         print(
             f"[bench] running {len(names)} scenarios across "
             f"{workers} processes",
             flush=True,
         )
-        with ctx.Pool(workers) as pool:
-            # imap_unordered for throughput; the merge below re-imposes
-            # SCENARIOS order, so the report is order-independent.
-            for name, outcome in pool.imap_unordered(
-                _run_scenario_by_name, names
-            ):
-                results[name] = outcome
+        scenarios = dict(SCENARIOS)
+        outcomes = fork_map(
+            lambda name: _measure(scenarios[name]), names, workers
+        )
+        results = dict(zip(names, outcomes))
     report = {}
     for name, fn in SCENARIOS:
         if name not in names:

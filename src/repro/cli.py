@@ -365,7 +365,7 @@ def build_parser():
     )
     fleet_chaos.add_argument(
         "--fanout",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="with --from-warm: fork N independent fault plans per mix "

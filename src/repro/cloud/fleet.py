@@ -11,9 +11,18 @@ seeded run:
 5. fleet-sweeps under the detection budget and scores recall and
    detection latency against ground truth.
 
-Everything runs inside one control process on one engine; two runs with
-the same parameters produce byte-identical summaries.
+Steps 1-3 are the *warm-up* (:func:`warm_fleet`), steps 4-5 the
+*branch* (:func:`_run_branch`); :data:`WARM_KEYS` and
+:data:`BRANCH_KEYS` say which parameter feeds which.  A cold
+:func:`run_fleet` is one warm-up followed by one branch on the same
+engine; :func:`fan_out_jobs` warms once per distinct warm-up and forks
+one branch per job.  Two runs with the same parameters produce
+byte-identical summaries.
 """
+
+import contextlib
+import gc
+import time
 
 from repro.cloud.campaign import AttackCampaign
 from repro.cloud.datacenter import Datacenter
@@ -37,6 +46,42 @@ from repro.cloud.tenants import TenantChurn
 #: own CloudSkulk install migration — and the report scores what
 #: survived.  Fault-free runs keep the errors loud.
 SURVIVABLE_ERRORS = (CloudError, HypervisorError, MigrationError, RootkitError)
+
+#: Parameters of the shared warm-up prefix.  Jobs agreeing on all of
+#: them replay byte-identical warm-ups, so :func:`fan_out_jobs` warms
+#: once per distinct set and forks the rest.
+WARM_KEYS = (
+    "seed",
+    "hosts",
+    "tenants",
+    "churn_operations",
+    "rebalance_moves",
+    "overcommit",
+    "settle_seconds",
+)
+
+#: Parameters of the divergent branch phase (the :func:`_run_branch`
+#: keywords a job or matrix spec may set).
+BRANCH_KEYS = (
+    "campaigns",
+    "sweeps",
+    "sweeps_per_hour",
+    "max_concurrent_probes",
+    "file_pages",
+    "wait_seconds",
+    "migration_mode",
+    "migration_capabilities",
+    "campaign_stream",
+    "faults",
+    "probes",
+)
+
+
+def split_params(params):
+    """``(warm, branch)`` halves of one fleet parameter dict."""
+    warm = {key: value for key, value in params.items() if key in WARM_KEYS}
+    branch = {key: value for key, value in params.items() if key not in warm}
+    return warm, branch
 
 
 class FleetRunResult:
@@ -65,6 +110,12 @@ class FleetRunResult:
         #: Shard-0 protocol counters when the branch ran sharded
         #: (:mod:`repro.cloud.sharding`), else None.
         self.shard_stats = None
+        #: Where the branch phase started — virtual time and a perf
+        #: counter snapshot — and its wall-clock cost, so fan-out
+        #: scorers can report branch-only work.
+        self.branched_at = 0.0
+        self.branch_perf = {}
+        self.branch_wall_seconds = 0.0
 
     @property
     def tracer(self):
@@ -183,6 +234,8 @@ def _run_branch(
     arming ``faults`` here.
     """
     engine = datacenter.engine
+    branched_at, branch_perf = engine.now, engine.perf.snapshot()
+    started = time.perf_counter()
     if injector is None and faults is not None:
         from repro.faults.injector import FaultInjector
 
@@ -221,6 +274,8 @@ def _run_branch(
         result.recall, result.detection_latencies = campaign.score(
             monitor.alerts
         )
+        result.branched_at, result.branch_perf = branched_at, branch_perf
+        result.branch_wall_seconds = time.perf_counter() - started
         return result
 
     if shards > 1:
@@ -234,6 +289,47 @@ def _run_branch(
 
     engine.run(engine.process(control(), name="fleet-branch"))
     return finish()
+
+
+def _warm(
+    hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
+    trace, trace_ring_capacity, faults=None,
+):
+    """Build a datacenter and run the warm-up prefix on it: provision,
+    churn, rebalance.
+
+    ``faults`` arms a FaultInjector at t=0, before the warm-up, so
+    faults can land in provisioning too; each step then absorbs
+    :data:`SURVIVABLE_ERRORS` so the run scores what survived.  Without
+    faults every error stays loud.  Returns ``(live WarmFleet, injector
+    or None)``.
+    """
+    datacenter = Datacenter(hosts=hosts, seed=seed, overcommit=overcommit)
+    if trace:
+        datacenter.engine.tracer.enable(ring_capacity=trace_ring_capacity)
+    injector = None
+    if faults is not None:
+        from repro.faults.injector import FaultInjector
+
+        injector = FaultInjector(datacenter, faults).arm()
+    placer = BinPackingPlacer(datacenter)
+    churn = TenantChurn(datacenter, placer)
+    orchestrator = MigrationOrchestrator(datacenter)
+
+    def control():
+        steps = [churn.bring_up(tenants), churn.run(churn_operations)]
+        if rebalance_moves:
+            steps.append(orchestrator.rebalance(placer, moves=rebalance_moves))
+        for step in steps:
+            try:
+                yield from step
+            except SURVIVABLE_ERRORS:
+                if injector is None:
+                    raise
+
+    engine = datacenter.engine
+    engine.run(engine.process(control(), name="fleet-warm"))
+    return WarmFleet(datacenter, placer, churn, orchestrator), injector
 
 
 class WarmFleet:
@@ -261,15 +357,11 @@ class WarmFleet:
     def engine(self):
         return self.datacenter.engine
 
-    def branch(self, **branch_params):
-        """Run one divergent branch; returns a scored FleetRunResult.
-
-        Accepts the branch-phase keywords of :func:`_run_branch`:
-        ``faults``, ``campaigns``, ``sweeps``, ``sweeps_per_hour``,
-        ``max_concurrent_probes``, ``file_pages``, ``wait_seconds``,
-        ``migration_mode``, ``migration_capabilities``,
-        ``campaign_stream``, ``probes``, ``shards``.
-        """
+    @contextlib.contextmanager
+    def substrate(self):
+        """The ``(datacenter, placer, churn, orchestrator)`` root one
+        branch runs on: a fresh fork of the snapshot, disposed on exit,
+        or — for a live fleet, exactly once — the fleet itself."""
         if self.snapshot is None:
             from repro.sim.snapshot import SnapshotError
 
@@ -279,49 +371,48 @@ class WarmFleet:
                     "branch; build with capture=True to fan out"
                 )
             self._spent = True
-            return _run_branch(
-                self.datacenter, self.placer, self.churn, self.orchestrator,
-                **branch_params,
-            )
+            yield (self.datacenter, self.placer, self.churn, self.orchestrator)
+            return
         fork = self.snapshot.fork()
         try:
-            datacenter, placer, churn, orchestrator = fork.root
-            return _run_branch(
-                datacenter, placer, churn, orchestrator, **branch_params
-            )
+            yield fork.root
         finally:
             fork.dispose()
 
-    def fan_out(self, branch_specs):
+    def branch(self, **branch_params):
+        """Run one divergent branch; returns a scored FleetRunResult.
+
+        Accepts the keywords of :func:`_run_branch` (the
+        :data:`BRANCH_KEYS` plus ``shards`` and ``injector``).
+        """
+        with self.substrate() as root:
+            return _run_branch(*root, **branch_params)
+
+    def fan_out(self, branch_specs, score=None):
         """Run one branch per spec dict, serially, with GC kept off the
         warm baseline (see :func:`~repro.sim.snapshot.heap_frozen`).
-        Returns the list of FleetRunResults in spec order."""
-        import gc
 
+        Returns ``score(index, result)`` per spec, in spec order —
+        by default the FleetRunResult itself.  Scoring inside the loop
+        lets each finished branch be collected before the next runs,
+        which keeps N-branch loops at flat memory.
+        """
         from repro.sim.snapshot import heap_frozen
 
-        results = []
+        out = []
         with heap_frozen():
-            for spec in branch_specs:
-                results.append(self.branch(**spec))
-                # Each disposed branch is pure garbage; collecting it
-                # immediately keeps N-branch loops at flat memory.
+            for index, spec in enumerate(branch_specs):
+                result = self.branch(**spec)
+                out.append(result if score is None else score(index, result))
+                del result
                 gc.collect()
-        return results
-
-    def fan_out_faults(self, plans, **branch_params):
-        """One branch per :class:`FaultPlan` (``None`` = fault-free)."""
-        return self.fan_out(
-            [dict(branch_params, faults=plan) for plan in plans]
-        )
+        return out
 
     def fan_out_detector_configs(self, configs, **branch_params):
         """One branch per detector budget, e.g. ``{"file_pages": 25,
         "wait_seconds": 20.0}`` — the paper's probe-budget sweep without
         re-warming the fleet per configuration."""
-        return self.fan_out(
-            [dict(branch_params, **config) for config in configs]
-        )
+        return self.fan_out([dict(branch_params, **c) for c in configs])
 
     def fan_out_seeds(self, count, **branch_params):
         """``count`` branches differing only in the attack campaign's
@@ -353,6 +444,130 @@ class WarmFleet:
         )
 
 
+#: ``(fn, items)`` a forked :func:`fork_map` worker serves; set in
+#: the worker only, by the pool initializer.
+_worker_task = None
+
+
+def _init_worker(fn, items):
+    global _worker_task
+    _worker_task = (fn, items)
+
+
+def _run_task(index):
+    fn, items = _worker_task
+    return index, fn(items[index])
+
+
+def fork_map(fn, items, processes):
+    """``[fn(item) for item in items]`` across ``processes`` forked
+    workers, results in ``items`` order.
+
+    Workers inherit ``fn`` and ``items`` through fork — closures, fault
+    plans and variants need not pickle; only indices go out and results
+    come back.  One process (or one item) runs inline.
+    """
+    workers = min(processes or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+
+    results = [None] * len(items)
+    with multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(fn, items)
+    ) as pool:
+        # imap_unordered for throughput; indexing re-imposes order.
+        for index, value in pool.imap_unordered(_run_task, range(len(items))):
+            results[index] = value
+    return results
+
+
+def group_by_warm(jobs):
+    """``[(warm_params, [(key, branch_params), ...]), ...]`` for
+    ``(key, params)`` jobs, groups and members in first-appearance
+    order."""
+    groups = {}
+    for key, params in jobs:
+        warm, branch = split_params(params)
+        groups.setdefault(tuple(sorted(warm.items())), []).append((key, branch))
+    return [(dict(warm), members) for warm, members in groups.items()]
+
+
+def fan_out_jobs(
+    jobs, score, processes=None, warm_fork=True, trace=False, keep_results=None
+):
+    """The fan-out executor: run ``(key, params)`` fleet jobs, paying
+    each distinct warm-up once.
+
+    ``params`` mixes :data:`WARM_KEYS` and :data:`BRANCH_KEYS` (plus
+    ``shards``); jobs with equal warm halves form a warm group.  A
+    group of several jobs captures its warm fleet and forks one branch
+    per job; a lone job runs on the live fleet; ``warm_fork=False`` (the
+    cold comparator) gives every job its own live warm-up.
+    ``score(key, result)`` turns each FleetRunResult into its job's
+    entry.
+
+    ``processes > 1`` spreads (group, slice) units over forked workers:
+    with at least as many groups as workers each unit is a whole group,
+    otherwise each group is sliced round-robin so every worker gets
+    work.  Every unit warms its own fleet — same-seed warm-ups are
+    identical — so pooled entries equal serial ones.  ``keep_results``
+    collects FleetRunResults on serial runs only.
+
+    Returns ``(groups, entries)``: one record per warm group (seed, the
+    other warm parameters, member keys, whether it forked, warm-up wall
+    seconds) and the entries in ``jobs`` order.
+    """
+    groups = group_by_warm(jobs)
+    workers = processes or 1
+    slices = max(1, workers // max(1, len(groups)))
+    units = [
+        (number, members[start::slices])
+        for number, (_warm, members) in enumerate(groups)
+        for start in range(min(slices, len(members)))
+    ]
+    keep = keep_results if min(workers, len(units)) <= 1 else None
+
+    def run_unit(unit):
+        number, members = unit
+        warm_wall, entries = 0.0, []
+        for batch in [members] if warm_fork else [[job] for job in members]:
+
+            def scored(index, result, batch=batch):
+                if keep is not None:
+                    keep.append(result)
+                return score(batch[index][0], result)
+
+            started = time.perf_counter()
+            fleet = warm_fleet(
+                capture=len(batch) > 1, trace=trace, **groups[number][0]
+            )
+            warm_wall += time.perf_counter() - started
+            with fleet:
+                entries += fleet.fan_out([b for _k, b in batch], score=scored)
+        return warm_wall, entries
+
+    warm_walls, by_key = [0.0] * len(groups), {}
+    for (number, members), (warm_wall, entries) in zip(
+        units, fork_map(run_unit, units, workers)
+    ):
+        warm_walls[number] += warm_wall
+        by_key.update(zip((key for key, _b in members), entries))
+    records = [
+        {
+            "seed": warm.get("seed", 1701),
+            "warm_params": {
+                k: v for k, v in sorted(warm.items()) if k != "seed"
+            },
+            "variants": [key for key, _branch in members],
+            "forked": warm_fork and len(members) > 1,
+            "warm_wall_seconds": round(wall, 3),
+        }
+        for (warm, members), wall in zip(groups, warm_walls)
+    ]
+    return records, [by_key[key] for key, _params in jobs]
+
+
 def warm_fleet(
     hosts=8,
     tenants=64,
@@ -374,31 +589,20 @@ def warm_fleet(
     time so KSM converges, and (unless ``capture=False``) snapshots the
     whole world for copy-on-write fan-out.
     """
-    datacenter = Datacenter(hosts=hosts, seed=seed, overcommit=overcommit)
-    if trace:
-        datacenter.engine.tracer.enable(ring_capacity=trace_ring_capacity)
-    placer = BinPackingPlacer(datacenter)
-    churn = TenantChurn(datacenter, placer)
-    orchestrator = MigrationOrchestrator(datacenter)
-
-    def control():
-        yield from churn.bring_up(tenants)
-        yield from churn.run(churn_operations)
-        if rebalance_moves:
-            yield from orchestrator.rebalance(placer, moves=rebalance_moves)
-
-    engine = datacenter.engine
-    engine.run(engine.process(control(), name="fleet-warm"))
+    fleet, _injector = _warm(
+        hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
+        trace, trace_ring_capacity,
+    )
+    engine = fleet.engine
     if settle_seconds:
         engine.run(until=engine.now + settle_seconds)
-    snapshot = None
     if capture:
         if label is None:
             label = f"fleet-{hosts}x{tenants}-s{seed}"
-        snapshot = datacenter.snapshot(
-            placer, churn, orchestrator, label=label
+        fleet.snapshot = fleet.datacenter.snapshot(
+            fleet.placer, fleet.churn, fleet.orchestrator, label=label
         )
-    return WarmFleet(datacenter, placer, churn, orchestrator, snapshot)
+    return fleet
 
 
 def run_fleet(
@@ -425,12 +629,13 @@ def run_fleet(
 ):
     """Run one complete fleet experiment; returns a FleetRunResult.
 
-    ``shards > 1`` splits the attack/sweep phase across worker
-    processes with rack-aligned host ownership and conservative
-    virtual-time sync (:mod:`repro.cloud.sharding`); the warm-up runs
-    serially first (its cross-host migrations need the whole fabric in
-    one engine), and results stay fingerprint-identical to
-    ``shards=1``.
+    A cold run is the warm-up of :func:`warm_fleet` (uncaptured)
+    followed by one branch on the same engine.  ``shards > 1`` splits
+    the branch (attack/sweep) phase across worker processes with
+    rack-aligned host ownership and conservative virtual-time sync
+    (:mod:`repro.cloud.sharding`); the warm-up runs serially first (its
+    cross-host migrations need the whole fabric in one engine), and
+    results stay fingerprint-identical to ``shards=1``.
 
     ``trace=True`` enables the fleet engine's tracer for the whole run
     (placements, churn-driven migrations, sweep waves, per-tenant
@@ -439,7 +644,7 @@ def run_fleet(
     event buffer for long runs (oldest events drop, counted).
 
     ``faults`` takes a :class:`~repro.faults.plan.FaultPlan`; the plan
-    is armed on the fleet engine before the control process starts, and
+    is armed on the fleet engine before the warm-up starts, and
     control-plane failures the injected faults provoke (exhausted
     migration retries, campaigns with no reachable target) degrade the
     run instead of raising.  An empty plan leaves the run byte-identical
@@ -453,133 +658,21 @@ def run_fleet(
     ``rebalance_moves``/``overcommit``/``trace``) were fixed at capture
     time and are ignored; ``faults`` arm relative to the fork point.
     """
+    params = locals()
+    branch = {key: params[key] for key in BRANCH_KEYS if key in params}
     if from_snapshot is not None:
-        branch_params = dict(
-            faults=faults,
-            campaigns=campaigns,
-            sweeps=sweeps,
-            sweeps_per_hour=sweeps_per_hour,
-            max_concurrent_probes=max_concurrent_probes,
-            file_pages=file_pages,
-            wait_seconds=wait_seconds,
-            migration_mode=migration_mode,
-            migration_capabilities=migration_capabilities,
-            probes=probes,
-            shards=shards,
-        )
-        if isinstance(from_snapshot, WarmFleet):
-            return from_snapshot.branch(**branch_params)
-        fork = from_snapshot.fork()
-        try:
-            root = fork.root
+        if not isinstance(from_snapshot, WarmFleet):
+            root = from_snapshot.root
             if not (isinstance(root, tuple) and len(root) == 4):
                 raise CloudError(
                     "from_snapshot needs a warm_fleet() capture whose root "
                     "is (datacenter, placer, churn, orchestrator); got "
                     f"{type(root).__name__}"
                 )
-            return _run_branch(*root, **branch_params)
-        finally:
-            fork.dispose()
-
-    datacenter = Datacenter(hosts=hosts, seed=seed, overcommit=overcommit)
-    if trace:
-        datacenter.engine.tracer.enable(ring_capacity=trace_ring_capacity)
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(datacenter, faults).arm()
-    placer = BinPackingPlacer(datacenter)
-    churn = TenantChurn(datacenter, placer)
-    orchestrator = MigrationOrchestrator(datacenter)
-    if shards > 1:
-        # Warm serially (cross-host migrations need one engine over the
-        # whole fabric), then run the attack/sweep suffix sharded.  The
-        # injector stays armed against t=0 exactly as the cold path
-        # below arms it.
-        def warm_control():
-            try:
-                yield from churn.bring_up(tenants)
-            except SURVIVABLE_ERRORS:
-                if injector is None:
-                    raise
-            try:
-                yield from churn.run(churn_operations)
-            except SURVIVABLE_ERRORS:
-                if injector is None:
-                    raise
-            if rebalance_moves:
-                try:
-                    yield from orchestrator.rebalance(
-                        placer, moves=rebalance_moves
-                    )
-                except SURVIVABLE_ERRORS:
-                    if injector is None:
-                        raise
-
-        engine = datacenter.engine
-        engine.run(engine.process(warm_control(), name="fleet-warm"))
-        return _run_branch(
-            datacenter, placer, churn, orchestrator,
-            campaigns=campaigns,
-            sweeps=sweeps,
-            sweeps_per_hour=sweeps_per_hour,
-            max_concurrent_probes=max_concurrent_probes,
-            file_pages=file_pages,
-            wait_seconds=wait_seconds,
-            migration_mode=migration_mode,
-            migration_capabilities=migration_capabilities,
-            probes=probes,
-            shards=shards,
-            injector=injector,
-        )
-    monitor = FleetMonitor(
-        datacenter,
-        sweeps_per_hour=sweeps_per_hour,
-        max_concurrent_probes=max_concurrent_probes,
-        file_pages=file_pages,
-        wait_seconds=wait_seconds,
-        probes=probes,
+            from_snapshot = WarmFleet(*root, snapshot=from_snapshot)
+        return from_snapshot.branch(shards=shards, **branch)
+    fleet, injector = _warm(
+        hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
+        trace, trace_ring_capacity, faults=faults,
     )
-    campaign = AttackCampaign(
-        datacenter,
-        count=campaigns,
-        migration_mode=migration_mode,
-        migration_capabilities=migration_capabilities,
-    )
-
-    def control():
-        try:
-            yield from churn.bring_up(tenants)
-        except SURVIVABLE_ERRORS:
-            if injector is None:
-                raise
-        try:
-            yield from churn.run(churn_operations)
-        except SURVIVABLE_ERRORS:
-            if injector is None:
-                raise
-        if rebalance_moves:
-            try:
-                yield from orchestrator.rebalance(placer, moves=rebalance_moves)
-            except SURVIVABLE_ERRORS:
-                if injector is None:
-                    raise
-        if campaigns:
-            try:
-                yield from campaign.run()
-            except SURVIVABLE_ERRORS:
-                if injector is None:
-                    raise
-        if sweeps:
-            yield monitor.run_periodic(max_sweeps=sweeps)
-
-    engine = datacenter.engine
-    engine.run(engine.process(control(), name="fleet-control"))
-    result = FleetRunResult(
-        datacenter, placer, churn, orchestrator, monitor, campaign,
-        injector=injector,
-    )
-    result.recall, result.detection_latencies = campaign.score(monitor.alerts)
-    return result
+    return fleet.branch(shards=shards, injector=injector, **branch)

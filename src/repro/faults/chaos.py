@@ -42,26 +42,6 @@ DEFAULT_FLEET_PARAMS = dict(
 )
 
 
-#: fleet_params keys consumed by the shared warm-up prefix; everything
-#: else parameterizes the divergent branch phase.  ``run_fanout`` uses
-#: the split to warm once and fan branches out off one snapshot.
-WARM_PARAM_KEYS = (
-    "hosts",
-    "tenants",
-    "churn_operations",
-    "rebalance_moves",
-    "overcommit",
-    "settle_seconds",
-)
-
-
-def _split_fleet_params(params):
-    """(warm-phase kwargs, branch-phase kwargs) from one params dict."""
-    warm = {k: v for k, v in params.items() if k in WARM_PARAM_KEYS}
-    branch = {k: v for k, v in params.items() if k not in WARM_PARAM_KEYS}
-    return warm, branch
-
-
 def standard_mix_plan(mix, seed, faults=5, horizon=240.0, stream=None):
     """The deterministic :class:`FaultPlan` for one named mix.
 
@@ -195,15 +175,14 @@ class ChaosCampaign:
             if k != "settle_seconds"  # a fan-out-only knob
         }
         for mix in self.mixes:
-            plan = self.plan_for(mix)
             result = run_fleet(
                 seed=self.seed,
-                faults=plan,
+                faults=self.plan_for(mix),
                 trace=self.trace,
                 **params,
             )
             self.results.append(result)
-            report.entries.append(self._score(mix, plan, result))
+            report.entries.append(self._score(mix, result))
         return report
 
     def run_fanout(self, branches_per_mix=1, processes=None):
@@ -217,79 +196,45 @@ class ChaosCampaign:
         difference from :meth:`run` (and why the two reports legitimately
         differ for the same seed).
 
-        ``processes`` > 1 spreads the legs across a multiprocessing
-        pool.  Snapshots hold live generator frames and cannot cross a
-        process boundary, so each worker warms its own (identical,
-        same-seed) fleet and forks its slice of legs; the scored entries
-        merge back in deterministic leg order.  ``self.results`` only
-        collects :class:`FleetRunResult` objects in the serial path.
+        ``processes`` > 1 spreads the legs across forked workers
+        (:func:`~repro.cloud.fleet.fan_out_jobs`); each worker warms
+        its own identical same-seed fleet, and the scored entries merge
+        back in leg order.  ``self.results`` only collects
+        :class:`FleetRunResult` objects in the serial path.
 
         Returns a :class:`ChaosReport` whose entries carry a ``branch``
         index next to ``mix``.
         """
-        report = ChaosReport(self.seed, self.faults_per_mix, self.horizon)
-        legs = [
-            (mix, index)
+        from repro.cloud.fleet import fan_out_jobs
+
+        if branches_per_mix < 1:
+            raise FaultError(
+                f"branches_per_mix must be >= 1, got {branches_per_mix}"
+            )
+        params = dict(self.fleet_params, seed=self.seed)
+        jobs = [
+            ((mix, index), dict(params, faults=self.plan_for(mix, index)))
             for mix in self.mixes
             for index in range(branches_per_mix)
         ]
-        warm_params, branch_params = _split_fleet_params(self.fleet_params)
-        if processes and processes > 1 and len(legs) > 1:
-            report.entries.extend(
-                self._run_fanout_pooled(
-                    legs, warm_params, branch_params, processes
-                )
-            )
-            return report
-        from repro.cloud.fleet import warm_fleet
-
-        fleet = warm_fleet(seed=self.seed, trace=self.trace, **warm_params)
-        with fleet:
-            plans = [self.plan_for(mix, branch=index) for mix, index in legs]
-            results = fleet.fan_out(
-                [dict(branch_params, faults=plan) for plan in plans]
-            )
-            for (mix, index), plan, result in zip(legs, plans, results):
-                self.results.append(result)
-                entry = self._score(mix, plan, result)
-                entry["branch"] = index
-                report.entries.append(entry)
+        report = ChaosReport(self.seed, self.faults_per_mix, self.horizon)
+        _groups, entries = fan_out_jobs(
+            jobs,
+            self._score_leg,
+            processes=processes,
+            trace=self.trace,
+            keep_results=self.results,
+        )
+        report.entries.extend(entries)
         return report
 
-    def _run_fanout_pooled(self, legs, warm_params, branch_params, processes):
-        import multiprocessing
-
-        workers = min(processes, len(legs))
-        chunks = [legs[i::workers] for i in range(workers)]
-        payloads = [
-            (
-                self.seed,
-                self.faults_per_mix,
-                self.horizon,
-                warm_params,
-                branch_params,
-                chunk,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        ctx = multiprocessing.get_context(method)
-        scored = {}
-        with ctx.Pool(len(payloads)) as pool:
-            # imap_unordered for throughput; the merge below re-imposes
-            # leg order, so the report is arrival-order independent.
-            for part in pool.imap_unordered(_fanout_worker, payloads):
-                for key, entry in part:
-                    scored[tuple(key)] = entry
-        return [scored[leg] for leg in legs]
+    @classmethod
+    def _score_leg(cls, leg, result):
+        mix, index = leg
+        return dict(cls._score(mix, result), branch=index)
 
     @staticmethod
-    def _score(mix, plan, result):
+    def _score(mix, result):
         dc = result.datacenter
         perf = dc.engine.perf
         injector = result.injector
@@ -307,7 +252,7 @@ class ChaosCampaign:
         )
         return {
             "mix": mix,
-            "faults_planned": len(plan),
+            "faults_planned": len(injector.plan),
             "faults_injected": perf.faults_injected,
             "faults_recovered": perf.faults_recovered,
             "injections": list(injector.injections),
@@ -321,42 +266,3 @@ class ChaosCampaign:
             "unreachable_findings": unreachable,
             "virtual_time": dc.engine.now,
         }
-
-
-def _fanout_worker(payload):
-    """Pool worker: warm one fleet, run a slice of fan-out legs.
-
-    Each worker pays the warm-up itself (snapshots are engine state
-    with live generator frames — not picklable), but determinism makes
-    every worker's same-seed warm fleet identical, so the slices are
-    byte-equivalent to the serial fan-out.  Returns ``[((mix, branch),
-    scored_entry), ...]`` for the parent to merge in leg order.
-    """
-    seed, faults_per_mix, horizon, warm_params, branch_params, legs = payload
-    from repro.cloud.fleet import warm_fleet
-
-    out = []
-    fleet = warm_fleet(seed=seed, **warm_params)
-    with fleet:
-        plans = [
-            standard_mix_plan(
-                mix,
-                seed,
-                faults=faults_per_mix,
-                horizon=horizon,
-                stream=(
-                    f"faults.mix.{mix}"
-                    if not index
-                    else f"faults.mix.{mix}#{index}"
-                ),
-            )
-            for mix, index in legs
-        ]
-        results = fleet.fan_out(
-            [dict(branch_params, faults=plan) for plan in plans]
-        )
-        for (mix, index), plan, result in zip(legs, plans, results):
-            entry = ChaosCampaign._score(mix, plan, result)
-            entry["branch"] = index
-            out.append(((mix, index), entry))
-    return out

@@ -35,7 +35,7 @@ def _expectations_path(args):
 def cmd_matrix_list(args):
     """Axes and mixes, no fleet built — always exits 0."""
     from repro.faults.chaos import STANDARD_MIXES
-    from repro.matrix.spec import BRANCH_KEYS, WARM_KEYS
+    from repro.cloud.fleet import BRANCH_KEYS, WARM_KEYS
 
     if args.spec:
         spec = _load_spec(args)

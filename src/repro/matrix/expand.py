@@ -15,12 +15,8 @@ what makes expected-result pinning stable across spec edits.
 
 import itertools
 
-from repro.matrix.spec import (
-    BRANCH_KEYS,
-    WARM_KEYS,
-    MatrixSpecError,
-    parse_filter,
-)
+from repro.cloud.fleet import group_by_warm, split_params
+from repro.matrix.spec import MatrixSpecError, parse_filter
 
 
 class Variant:
@@ -41,25 +37,13 @@ class Variant:
             f"{axis}={label}" for axis, label in sorted(self.labels.items())
         )
 
-    def warm_params(self):
-        """The shared warm-up prefix parameters (including ``seed``)."""
-        return {
-            key: self.params[key] for key in WARM_KEYS if key in self.params
-        }
-
-    def branch_params(self):
-        """The divergent branch-phase parameters."""
-        return {
-            key: self.params[key] for key in BRANCH_KEYS if key in self.params
-        }
-
     def warm_key(self):
         """Hashable identity of the warm-up prefix this variant needs.
 
         Variants with equal warm keys replay byte-identical warm-ups,
         so the runner groups them onto one snapshot and forks each.
         """
-        return tuple(sorted(self.warm_params().items()))
+        return tuple(sorted(split_params(self.params)[0].items()))
 
     def matches(self, parsed_filter):
         """True when any alternative of ``parsed_filter`` matches."""
@@ -140,11 +124,11 @@ def expand(spec, only=None, no=None):
 def group_by_warm_key(variants):
     """Warm-fork grouping: ``[(warm_key, [variants...]), ...]``.
 
-    Groups appear in order of first appearance in expansion order, and
-    variants keep expansion order within their group — both matter for
-    the deterministic serial/pooled merge.
+    The same grouping the runner's executor applies
+    (:func:`~repro.cloud.fleet.group_by_warm`): groups in order of
+    first appearance, variants in expansion order within their group.
     """
-    groups = {}
-    for variant in variants:
-        groups.setdefault(variant.warm_key(), []).append(variant)
-    return list(groups.items())
+    return [
+        (tuple(sorted(warm.items())), [variant for variant, _b in members])
+        for warm, members in group_by_warm((v, v.params) for v in variants)
+    ]

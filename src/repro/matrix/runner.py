@@ -1,27 +1,25 @@
 """The warm-fork-aware matrix runner.
 
 Variants that agree on every warm-up parameter (topology, churn,
-settle window, seed — see :data:`~repro.matrix.spec.WARM_KEYS`) replay
-byte-identical warm prefixes, so the runner groups them and pays each
-prefix once: one :func:`~repro.cloud.fleet.warm_fleet` snapshot per
-group, one copy-on-write fork per variant (PR 6's machinery).  A
+settle window, seed — see :data:`~repro.cloud.fleet.WARM_KEYS`) replay
+byte-identical warm prefixes, so the runner hands every variant to the
+fleet fan-out executor (:func:`~repro.cloud.fleet.fan_out_jobs`), which
+pays each prefix once: one :func:`~repro.cloud.fleet.warm_fleet`
+snapshot per group, one copy-on-write fork per variant.  A
 single-variant group skips the capture and runs its one branch on the
 live fleet — the fork layer guarantees forked == cold fingerprints, so
 the grouping decision never shows in the results, only in the wall
 clock.
 
-``processes > 1`` spreads whole warm *groups* across a multiprocessing
-pool.  Snapshots hold live generator frames and cannot cross a process
-boundary, so each worker warms its own groups; because group placement
-never splits a group, the pooled run takes exactly the serial run's
-code path per group and the merged report is byte-identical to serial.
+``processes > 1`` spreads warm groups — or, with fewer groups than
+workers, round-robin slices of them — across forked workers.  Every
+worker warms its own identical fleet, the warm-group records are
+built by the parent, and entries merge back in expansion order, so the
+pooled report is byte-identical to serial.
 """
 
-import gc
-import time
-
 from repro.errors import ReproError
-from repro.matrix.expand import expand, group_by_warm_key
+from repro.matrix.expand import expand
 from repro.matrix.report import MatrixReport, branch_fingerprint
 from repro.matrix.spec import parse_fault_spec
 
@@ -61,7 +59,7 @@ def _perf_delta(engine, warm_perf):
     }
 
 
-def _variant_entry(variant, result, wall, warm_perf, warm_now=None):
+def _variant_entry(variant, result, capture_metrics):
     params = {}
     for key, value in sorted(variant.params.items()):
         params[key] = list(value) if isinstance(value, tuple) else value
@@ -70,104 +68,16 @@ def _variant_entry(variant, result, wall, warm_perf, warm_now=None):
         "axes": dict(variant.labels),
         "params": params,
         "fingerprint": branch_fingerprint(result),
-        "perf_delta": _perf_delta(result.datacenter.engine, warm_perf),
-        "wall_seconds": round(wall, 3),
+        "perf_delta": _perf_delta(result.datacenter.engine, result.branch_perf),
+        "wall_seconds": round(result.branch_wall_seconds, 3),
     }
-    if warm_now is not None:
+    if capture_metrics:
         # Per-variant probe-overhead attribution; excluded from the
         # canonical JSON (like wall clocks) so pins don't churn.
-        entry["metrics"] = result.probe_metrics(since_seconds=warm_now)
-    return entry
-
-
-def _run_group(
-    variants,
-    warm_fork=True,
-    keep_results=None,
-    capture_metrics=False,
-    shards=None,
-):
-    """Run one warm group; returns ``(group_info, {variant_id: entry})``.
-
-    ``warm_fork=False`` is the cold comparator: every variant pays its
-    own live warm-up (the benchmark's baseline, and the shape the
-    forked results must reproduce byte-for-byte).
-    """
-    from repro.cloud.fleet import warm_fleet
-
-    warm = dict(variants[0].warm_params())
-    seed = warm.pop("seed", 1701)
-    capture = warm_fork and len(variants) > 1
-    entries = {}
-    group_info = {
-        "warm_params": dict(sorted(warm.items())),
-        "seed": seed,
-        "variants": [variant.variant_id for variant in variants],
-        "forked": capture,
-    }
-    warm_started = time.perf_counter()
-    fleet = None
-    if capture or len(variants) == 1:
-        # Metrics capture needs the tracer on *before* the snapshot so
-        # every fork inherits an enabled tracer with a live registry.
-        fleet = warm_fleet(
-            seed=seed, capture=capture, trace=capture_metrics, **warm
+        entry["metrics"] = result.probe_metrics(
+            since_seconds=result.branched_at
         )
-    group_info["warm_wall_seconds"] = round(
-        time.perf_counter() - warm_started, 3
-    )
-    try:
-        for variant in variants:
-            if fleet is None:
-                substrate = warm_fleet(
-                    seed=seed, capture=False, trace=capture_metrics, **warm
-                )
-            else:
-                substrate = fleet
-            branch = dict(variant.branch_params())
-            plan = build_fault_plan(branch.pop("faults", None), seed)
-            warm_perf = substrate.engine.perf.snapshot()
-            warm_now = substrate.engine.now if capture_metrics else None
-            started = time.perf_counter()
-            result = substrate.branch(
-                faults=plan, shards=shards or 1, **branch
-            )
-            wall = time.perf_counter() - started
-            entries[variant.variant_id] = _variant_entry(
-                variant, result, wall, warm_perf, warm_now=warm_now
-            )
-            if keep_results is not None:
-                keep_results.append(result)
-            del result, substrate
-            # Each finished branch is pure garbage under heap_frozen();
-            # collecting per-branch keeps N-variant groups at flat memory.
-            gc.collect()
-    finally:
-        if fleet is not None:
-            fleet.dispose()
-    return group_info, entries
-
-
-def _matrix_worker(payload):
-    """Pool worker: run a chunk of whole warm groups.
-
-    Returns ``[(group_index, group_info, entries_dict), ...]`` so the
-    parent can merge groups and entries back into expansion order.
-    """
-    from repro.sim.snapshot import heap_frozen
-
-    groups, warm_fork, capture_metrics, shards = payload
-    out = []
-    with heap_frozen():
-        for group_index, variants in groups:
-            group_info, entries = _run_group(
-                variants,
-                warm_fork=warm_fork,
-                capture_metrics=capture_metrics,
-                shards=shards,
-            )
-            out.append((group_index, group_info, entries))
-    return out
+    return entry
 
 
 class MatrixRunner:
@@ -207,57 +117,33 @@ class MatrixRunner:
         the spec uses.  The report's entries land in expansion order
         regardless of warm grouping or pool scheduling.
         """
-        variants = expand(self.spec, only=only, no=no)
-        groups = group_by_warm_key(variants)
-        report = MatrixReport(self.spec.name)
-        entries = {}
-        group_infos = {}
-        if self.processes and self.processes > 1 and len(groups) > 1:
-            self._run_pooled(groups, group_infos, entries)
-        else:
-            self._run_serial(groups, group_infos, entries)
-        for index in sorted(group_infos):
-            report.groups.append(group_infos[index])
-        for variant in variants:
-            report.add(entries[variant.variant_id])
-        return report
+        from repro.cloud.fleet import fan_out_jobs
 
-    def _run_serial(self, groups, group_infos, entries):
-        from repro.sim.snapshot import heap_frozen
+        variants = {
+            variant.variant_id: variant
+            for variant in expand(self.spec, only=only, no=no)
+        }
+        jobs = []
+        for variant_id, variant in variants.items():
+            params = dict(variant.params, shards=self.shards or 1)
+            params["faults"] = build_fault_plan(
+                params.get("faults"), params.get("seed", 1701)
+            )
+            jobs.append((variant_id, params))
 
-        with heap_frozen():
-            for index, (_key, variants) in enumerate(groups):
-                group_info, group_entries = _run_group(
-                    variants,
-                    warm_fork=self.warm_fork,
-                    keep_results=self.results,
-                    capture_metrics=self.capture_metrics,
-                    shards=self.shards,
-                )
-                group_infos[index] = group_info
-                entries.update(group_entries)
+        def score(variant_id, result):
+            return _variant_entry(
+                variants[variant_id], result, self.capture_metrics
+            )
 
-    def _run_pooled(self, groups, group_infos, entries):
-        import multiprocessing
-
-        workers = min(self.processes, len(groups))
-        indexed = list(enumerate(variants for _key, variants in groups))
-        chunks = [indexed[i::workers] for i in range(workers)]
-        payloads = [
-            (chunk, self.warm_fork, self.capture_metrics, self.shards)
-            for chunk in chunks
-            if chunk
-        ]
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
+        groups, entries = fan_out_jobs(
+            jobs,
+            score,
+            processes=self.processes,
+            warm_fork=self.warm_fork,
+            trace=self.capture_metrics,
+            keep_results=self.results,
         )
-        ctx = multiprocessing.get_context(method)
-        with ctx.Pool(len(payloads)) as pool:
-            # imap_unordered for throughput; the caller re-imposes
-            # group and expansion order, so arrival order is free.
-            for part in pool.imap_unordered(_matrix_worker, payloads):
-                for group_index, group_info, group_entries in part:
-                    group_infos[group_index] = group_info
-                    entries.update(group_entries)
+        report = MatrixReport(self.spec.name)
+        report.groups, report.entries = groups, entries
+        return report

@@ -24,8 +24,9 @@ patch parameters of whatever survives.  Filter terms are either a bare
 value label (matches that label on any axis) or ``axis=label``.
 
 Parameters are validated against the fleet harness's real knob set
-(:data:`WARM_KEYS` feed the shared warm-up prefix, :data:`BRANCH_KEYS`
-the divergent branch phase); an unknown key is a parse error, not a
+(:data:`~repro.cloud.fleet.WARM_KEYS` feed the shared warm-up prefix,
+:data:`~repro.cloud.fleet.BRANCH_KEYS` the divergent branch phase); an
+unknown key is a parse error, not a
 silently ignored typo.  Values coerce to int/float/bool/None with
 ``on/off``, ``true/false``, ``yes/no`` and ``none`` spellings; the
 ``faults`` value uses the compact ``mix[#stream]:count@horizon`` form
@@ -36,41 +37,13 @@ silently ignored typo.  Values coerce to int/float/bool/None with
 
 import re
 
+from repro.cloud.fleet import BRANCH_KEYS, WARM_KEYS
 from repro.errors import ReproError
 
 
 class MatrixSpecError(ReproError):
     """A malformed matrix spec (parse or validation failure)."""
 
-
-#: Parameters consumed by the shared warm-up prefix (plus ``seed``).
-#: Variants agreeing on every one of these share a warm fleet; see
-#: :meth:`repro.matrix.expand.Variant.warm_key`.
-WARM_KEYS = (
-    "seed",
-    "hosts",
-    "tenants",
-    "churn_operations",
-    "rebalance_moves",
-    "overcommit",
-    "settle_seconds",
-)
-
-#: Parameters of the divergent branch phase (the ``_run_branch``
-#: keywords, plus the ``faults`` plan shorthand).
-BRANCH_KEYS = (
-    "campaigns",
-    "sweeps",
-    "sweeps_per_hour",
-    "max_concurrent_probes",
-    "file_pages",
-    "wait_seconds",
-    "migration_mode",
-    "migration_capabilities",
-    "campaign_stream",
-    "faults",
-    "probes",
-)
 
 _ALL_KEYS = frozenset(WARM_KEYS) | frozenset(BRANCH_KEYS)
 

@@ -462,7 +462,17 @@ class ScoreMatrix:
         return cells
 
     def run(self):
-        """Run every leg; returns the ScoreReport."""
+        """Run every leg; returns the ScoreReport.
+
+        Legs fork one warm fleet (or, for a single attack, run on it
+        live) through :meth:`WarmFleet.substrate
+        <repro.cloud.fleet.WarmFleet.substrate>`, with the warm heap
+        frozen and each leg collected before the next runs.
+        """
+        import gc
+
+        from repro.sim.snapshot import heap_frozen
+
         probe_names = [probe.name for probe in self.probes]
         report = ScoreReport(
             self.seed, probe_names, self.attacks, self.warm_params
@@ -470,35 +480,24 @@ class ScoreMatrix:
         fleet = warm_fleet(
             capture=len(self.attacks) > 1, **self.warm_params
         )
-        for attack in self.attacks:
-            if fleet.snapshot is None:
-                root = (
-                    fleet.datacenter,
-                    fleet.placer,
-                    fleet.churn,
-                    fleet.orchestrator,
-                )
-                monitor, truth = self._run_leg(attack, root)
-                rows, meta = self._collect(attack, root, monitor, truth)
-            else:
-                fork = fleet.snapshot.fork()
-                try:
-                    monitor, truth = self._run_leg(attack, fork.root)
-                    rows, meta = self._collect(
-                        attack, fork.root, monitor, truth
+        with fleet, heap_frozen():
+            for attack in self.attacks:
+                with fleet.substrate() as root:
+                    monitor, truth = self._run_leg(attack, root)
+                    rows, meta = self._collect(attack, monitor, truth)
+                del monitor  # the leg's world is garbage from here on
+                report.ledger.extend(rows)
+                report.attack_meta[attack] = meta
+                report.cells.extend(
+                    self.score_cells(
+                        attack, probe_names, rows, truth,
+                        meta["window_seconds"],
                     )
-                finally:
-                    fork.dispose()
-            report.ledger.extend(rows)
-            report.attack_meta[attack] = meta
-            report.cells.extend(
-                self.score_cells(
-                    attack, probe_names, rows, truth, meta["window_seconds"]
                 )
-            )
+                gc.collect()
         return report
 
-    def _collect(self, attack, root, monitor, truth):
+    def _collect(self, attack, monitor, truth):
         rows = self._ledger_rows(attack, monitor)
         if not monitor.reports:
             raise ReproError(f"attack leg {attack!r} produced no sweeps")

@@ -75,3 +75,12 @@ def test_fleet_sweep_command(capsys):
 def test_fleet_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fleet"])
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_fleet_chaos_fanout_rejects_non_positive(value, capsys):
+    # Rejected at parse time, before any fleet is warmed.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "chaos", "--from-warm", "--fanout", value])
+    assert excinfo.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 from repro.cloud import run_fleet, warm_fleet
 from repro.faults import ChaosCampaign
 from repro.faults.chaos import standard_mix_plan
+from repro.faults.plan import FaultError
 from repro.sim.snapshot import SnapshotError
 from tests.fleet_helpers import fleet_fingerprint as _fingerprint
 
@@ -120,6 +121,13 @@ def test_chaos_run_fanout_report_is_deterministic():
     first = report_json()
     assert first == report_json()
     assert '"branch": 1' in first  # per-mix fan-out actually happened
+
+
+@pytest.mark.parametrize("branches", [0, -2])
+def test_chaos_run_fanout_rejects_non_positive_branches(branches):
+    campaign = ChaosCampaign(seed=7, mixes=("infra",), faults_per_mix=3)
+    with pytest.raises(FaultError, match="branches_per_mix"):
+        campaign.run_fanout(branches_per_mix=branches)
 
 
 @pytest.mark.slow

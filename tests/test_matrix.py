@@ -348,6 +348,17 @@ def test_pooled_run_matches_serial():
     assert pooled == serial
 
 
+@pytest.mark.chaos
+@pytest.mark.slow
+def test_pooled_single_group_matches_serial():
+    # One warm group, two workers: the group is sliced across the
+    # workers, each warming its own fleet; the report must not show it.
+    spec = MatrixSpec.loads(TINY_SPEC)
+    serial = MatrixRunner(spec).run().to_json()
+    pooled = MatrixRunner(spec, processes=2).run().to_json()
+    assert pooled == serial
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -157,3 +157,19 @@ def test_ksm_cloudskulk_recall_matches_the_plain_campaign_4x12():
     cell = report.cell("cloudskulk", "ksm_timing")
     assert cell["recall"] == plain.recall
     assert cell["false_positives"] == 0
+
+def test_run_disposes_its_warm_snapshot(monkeypatch):
+    from repro.sim.snapshot import EngineSnapshot
+
+    disposed = []
+    original = EngineSnapshot.dispose
+
+    def spy(self):
+        disposed.append(self)
+        original(self)
+
+    monkeypatch.setattr(EngineSnapshot, "dispose", spy)
+    _run_matrix(7, ("ksm_timing",), ("clean", "cloudskulk"))
+    # Two legs fork one captured warm fleet, which run() must release.
+    assert len(disposed) == 1
+    assert disposed[0]._disposed
