@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-par bench-shard bench-smoke lint trace-smoke matrix-smoke probes-smoke obs-report
+.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-shard bench-smoke lint trace-smoke matrix-smoke probes-smoke obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -40,21 +40,15 @@ test-shard:
 
 # Just the sharded-scaling benchmark entry: one warmed 16x192 fleet
 # branched serial and 4-way sharded, gated on the deterministic
-# critical-path speedup and the sync-message budget (see
-# sharded_sweep_entry in benchmarks/perf_report.py for why the raw
-# wall ratio is recorded but not gated).  Writes build/bench-shard.json.
+# critical-path speedup and the sync-message budget (the gates live in
+# the sharded_sweep_16x row of benchmarks/perf_report.py, which also
+# says why the raw wall ratio is recorded but not gated).  Writes
+# build/bench-shard.json and exits 1 on any fingerprint or gate failure.
 bench-shard:
 	mkdir -p build
-	$(PYTHON) -c "import json, sys; \
-		sys.path.insert(0, 'benchmarks'); \
-		from perf_report import sharded_sweep_entry; \
-		entry = sharded_sweep_entry(); \
-		json.dump(entry, open('build/bench-shard.json', 'w'), indent=2, sort_keys=True); \
-		print('critical-path %.2fx (target %.1fx), %d sync messages, fingerprint %s' \
-			% (entry['critical_path_speedup'], entry['speedup_target'], \
-			   entry['messages_sent'], \
-			   'match' if entry['fingerprint_matches_baseline'] else 'MISMATCH')); \
-		sys.exit(0 if entry['within_budget'] and entry['fingerprint_matches_baseline'] else 1)"
+	$(PYTHON) -c "import sys; sys.path.insert(0, 'benchmarks'); \
+		from perf_report import run_report; \
+		sys.exit(run_report(['sharded_sweep_16x'], 'build/bench-shard.json'))"
 
 # The CI probes smoke: score the small grid and diff against the
 # checked-in expected scores — `repro probes score --expected` exits 1
@@ -84,13 +78,6 @@ bench:
 
 bench-quick:
 	$(PYTHON) benchmarks/perf_report.py --quick
-
-# All scenarios across forked workers (repro.cloud.fleet.fork_map, the
-# same pool the matrix and chaos fan-outs use); fingerprints merge
-# deterministically in scenario order.  Use for fast fingerprint smoke —
-# concurrent wall clocks contend, so `bench` stays the timing of record.
-bench-par:
-	$(PYTHON) benchmarks/perf_report.py --parallel
 
 # The repo benchmark's API guard: one short traced fan-out rep through
 # perfbench (warm_fleet, WarmFleet.branch and every entry point

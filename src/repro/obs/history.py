@@ -162,9 +162,11 @@ def write_diff_report(path, report):
 def bench_history_record(report, quick=False, timestamp=None):
     """Condense one perf-report dict into a ledger line.
 
-    Wall clocks, budget verdicts, and fingerprint matches survive;
-    the bulky fingerprints and metric dumps stay in ``BENCH_core.json``
-    — the ledger is a trajectory, not an archive.
+    Every bench entry has one shape, so every entry condenses the same
+    way: its wall clock and baseline, the gate and fingerprint verdicts,
+    and — for entries that compare legs — each leg's wall clock under
+    ``leg_wall_seconds``.  The bulky fingerprints and metric dumps stay
+    in ``BENCH_core.json``; the ledger is a trajectory, not an archive.
     """
     if timestamp is None:
         import time
@@ -172,22 +174,21 @@ def bench_history_record(report, quick=False, timestamp=None):
         timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     scenarios = {}
     for name, entry in sorted(report.items()):
-        condensed = {}
-        for key in (
-            "wall_seconds",
-            "baseline_wall_seconds",
-            "improvement_pct",
-            "traced_wall_seconds",
-            "untraced_wall_seconds",
-            "overhead_pct",
-            "cold_wall_seconds",
-            "speedup_vs_cold",
-            "fingerprint_matches_baseline",
-            "within_budget",
-            "meets_speedup_target",
-        ):
-            if key in entry:
-                condensed[key] = entry[key]
+        condensed = {
+            key: entry[key]
+            for key in (
+                "wall_seconds",
+                "baseline_wall_seconds",
+                "within_budget",
+                "fingerprint_matches_baseline",
+            )
+            if key in entry
+        }
+        legs = entry.get("legs", {})
+        if len(legs) > 1:
+            condensed["leg_wall_seconds"] = {
+                leg: data["wall_seconds"] for leg, data in sorted(legs.items())
+            }
         scenarios[name] = condensed
     return {
         "timestamp": timestamp,

@@ -5,8 +5,8 @@ suites (chaos determinism, fleet fan-out, page store, scenario matrix)
 previously each carried a private copy of:
 
 * ``FLEET_4X12`` — the exact parameter set of the ``fleet_sweep_4x12``
-  benchmark scenario, whose fingerprint is pinned in BASELINE /
-  BENCH_core.json;
+  benchmark scenario, whose fingerprint is pinned in
+  benchmarks/baseline.json / BENCH_core.json;
 * ``FLEET_SWEEP_4X12_PIN`` / :func:`fleet_sweep_fingerprint` — the
   recorded outcome of that scenario and the extractor that reproduces
   its shape from any :class:`FleetRunResult`;
