@@ -94,13 +94,13 @@ bench-smoke:
 		sys.exit(0 if last.get('correct') is True else 1)"
 
 # Traced end-to-end run + schema validation of the exported trace.
-# CI runs this and uploads build/trace-smoke.json as an artifact (open
-# it in ui.perfetto.dev).
+# CI runs this and uploads the build/trace-smoke/ run bundle as an
+# artifact (open its trace.json in ui.perfetto.dev).
 trace-smoke:
 	mkdir -p build
-	$(PYTHON) -m repro --seed 42 --trace-out build/trace-smoke.json \
+	$(PYTHON) -m repro --seed 42 --obs-out build/trace-smoke/ \
 		detect --pages 12
-	$(PYTHON) -m repro.obs.validate build/trace-smoke.json \
+	$(PYTHON) -m repro.obs.validate build/trace-smoke/trace.json \
 		--require vm_exit --require ksm.pass --require migration. \
 		--require detect.
 
@@ -108,19 +108,20 @@ trace-smoke:
 # both traces (attribution, critical path, per-tenant probe overhead,
 # flamegraph), and diff the two summaries — `repro obs diff` exits 1 on
 # any drift, so this doubles as a determinism gate for the whole
-# trace -> analysis pipeline.  CI uploads the flamegraph + diff report.
+# trace -> analysis pipeline.  Each summary embeds the metrics.json of
+# its bundle.  CI uploads the bundles, the flamegraph + diff report.
 obs-report:
 	mkdir -p build
-	$(PYTHON) -m repro --seed 42 --trace-out build/obs-a.trace.json \
-		--metrics-out build/obs-a.metrics.json fleet sweep
-	$(PYTHON) -m repro --seed 42 --trace-out build/obs-b.trace.json \
-		--metrics-out build/obs-b.metrics.json fleet sweep
-	$(PYTHON) -m repro obs report build/obs-a.trace.json \
-		--metrics build/obs-a.metrics.json --json build/obs-a.summary.json
-	$(PYTHON) -m repro obs report build/obs-b.trace.json \
-		--metrics build/obs-b.metrics.json --json build/obs-b.summary.json
-	$(PYTHON) -m repro obs critical-path build/obs-a.trace.json
-	$(PYTHON) -m repro obs flame build/obs-a.trace.json -o build/obs-a.folded
+	$(PYTHON) -m repro --seed 42 --obs-out build/obs-a/ fleet sweep
+	$(PYTHON) -m repro --seed 42 --obs-out build/obs-b/ fleet sweep
+	$(PYTHON) -m repro.obs.validate build/obs-a/trace.json
+	$(PYTHON) -m repro.obs.validate build/obs-b/trace.json
+	$(PYTHON) -m repro obs report build/obs-a/trace.json \
+		--json build/obs-a.summary.json
+	$(PYTHON) -m repro obs report build/obs-b/trace.json \
+		--json build/obs-b.summary.json
+	$(PYTHON) -m repro obs critical-path build/obs-a/trace.json
+	$(PYTHON) -m repro obs flame build/obs-a/trace.json -o build/obs-a.folded
 	$(PYTHON) -m repro obs diff build/obs-a.summary.json \
 		build/obs-b.summary.json --report-out build/obs-diff.json
 

@@ -20,29 +20,12 @@ Commands:
 """
 
 import argparse
-import json
 import sys
 
 from repro import __version__, obs, scenarios
 from repro.matrix.cli import add_matrix_commands, positive_int
 from repro.obs.cli import add_obs_commands
 from repro.probes.cli import add_probes_commands
-
-
-def _report_perf(args, engine, label="engine"):
-    """Report the engine's perf counters on stderr when asked.
-
-    Diagnostics go to stderr so the commands' stdout stays exactly the
-    experiment output (scriptable, diff-able).  ``--perf`` prints the
-    human table; ``--perf-json`` prints one JSON object per engine.
-    """
-    if getattr(args, "perf", False):
-        print(f"[perf] {label}", file=sys.stderr)
-        print(engine.perf.format(), file=sys.stderr)
-    if getattr(args, "perf_json", False):
-        record = {"label": label}
-        record.update(engine.perf.snapshot())
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def cmd_attack(args):
@@ -56,7 +39,6 @@ def cmd_attack(args):
         f"(victim's old pid {report.victim_pid}); "
         f"{report.history_lines_removed} history lines scrubbed"
     )
-    _report_perf(args, host.engine)
     return 0
 
 
@@ -77,7 +59,6 @@ def cmd_detect(args):
             f"t2={verdict.median_t2:.2f}us -> {verdict.verdict.upper()}"
         )
         print(f"  {verdict.explanation()}\n")
-        _report_perf(args, host.engine, label=label)
     return 0
 
 
@@ -109,7 +90,6 @@ def cmd_sweep(args):
     report = host.engine.run(host.engine.process(service.sweep()))
     print(report.summary())
     print(f"\ncompromised: {report.compromised_tenants}")
-    _report_perf(args, host.engine)
     return 0 if report.compromised_tenants == ["tenant-b"] else 1
 
 
@@ -140,7 +120,6 @@ def cmd_covert(args):
     print(f"sent     {payload!r}")
     print(f"received {received!r}")
     print(f"{elapsed:.0f}s virtual, {bps:.2f} bit/s")
-    _report_perf(args, host.engine)
     return 0 if received == payload else 1
 
 
@@ -164,7 +143,6 @@ def _run_fleet_from_args(args, **overrides):
 def cmd_fleet_run(args):
     result = _run_fleet_from_args(args)
     print(result.summary())
-    _report_perf(args, result.datacenter.engine, label="fleet")
     if args.campaigns and result.detected_campaigns < 1:
         return 1
     return 0
@@ -178,7 +156,6 @@ def cmd_fleet_sweep(args):
     for report in result.monitor.reports:
         print(report.summary())
     print(f"\nrecall: {result.recall:.2f}")
-    _report_perf(args, result.datacenter.engine, label="fleet")
     return 0 if result.detected_campaigns >= 1 else 1
 
 
@@ -230,10 +207,6 @@ def cmd_fleet_chaos(args):
         with open(args.report_out, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
         print(f"[chaos] wrote report to {args.report_out}", file=sys.stderr)
-    if campaign.results:
-        _report_perf(
-            args, campaign.results[-1].datacenter.engine, label="chaos"
-        )
     return 0
 
 
@@ -246,7 +219,6 @@ def cmd_fleet_status(args):
     print(repr(datacenter))
     for line in datacenter.inventory_lines():
         print(line)
-    _report_perf(args, datacenter.engine, label="fleet")
     return 0
 
 
@@ -265,45 +237,24 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=1701)
     parser.add_argument(
-        "--perf",
-        action="store_true",
-        help="print the engine's performance counters to stderr after the run",
-    )
-    parser.add_argument(
-        "--perf-json",
-        action="store_true",
-        help="print the performance counters as one JSON object per engine "
-        "to stderr",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record a virtual-time trace and write Chrome/Perfetto JSON "
-        "to PATH (open in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the run's metric registry (counters/gauges/histograms) "
-        "to stderr",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write the run's metric registry as deterministic JSON to "
-        "PATH (the `repro obs diff` / matrix-metrics input)",
+        "--obs-out",
+        metavar="DIR",
+        help="trace the run and write its observations to DIR: trace.json "
+        "(Chrome/Perfetto, open in ui.perfetto.dev), metrics.json (metric "
+        "registry and perf counters per engine), manifest.json, and "
+        "variants.json for `matrix run`",
     )
     parser.add_argument(
         "--trace-ring",
-        type=int,
+        type=positive_int,
         metavar="N",
-        help="cap the trace buffer at N events (oldest drop, counted); "
-        "for long fleet runs",
+        help="with --obs-out: cap the trace buffer at N events (oldest "
+        "drop, counted); for long fleet runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("attack").set_defaults(func=cmd_attack)
     detect = sub.add_parser("detect")
-    detect.add_argument("--pages", type=int, default=100)
+    detect.add_argument("--pages", type=positive_int, default=100)
     detect.set_defaults(func=cmd_detect)
     sub.add_parser("sweep").set_defaults(func=cmd_sweep)
     covert = sub.add_parser("covert")
@@ -396,41 +347,30 @@ def build_parser():
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    tracing = bool(
-        getattr(args, "trace_out", None)
-        or getattr(args, "metrics", False)
-        or getattr(args, "metrics_out", None)
-    )
-    if tracing:
+    if args.obs_out:
         # Engines are built deep inside scenario helpers; the process-wide
         # default is how the flag reaches them.  Every engine the command
-        # creates comes up traced and self-registers for the merged export.
+        # creates comes up traced and self-registers for the bundle.
         obs.configure(enabled=True, ring_capacity=args.trace_ring)
     try:
         status = args.func(args)
-        if tracing:
-            if args.trace_out:
-                trace = obs.write_chrome_trace(args.trace_out)
-                print(
-                    f"[trace] wrote {len(trace['traceEvents'])} events "
-                    f"to {args.trace_out}",
-                    file=sys.stderr,
-                )
-            if args.metrics:
-                print(obs.metrics_text(), file=sys.stderr)
-            if args.metrics_out:
-                with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        obs.metrics_json(), handle, indent=2, sort_keys=True
-                    )
-                    handle.write("\n")
-                print(
-                    f"[metrics] wrote registry to {args.metrics_out}",
-                    file=sys.stderr,
-                )
+        if args.obs_out:
+            trace = obs.write_bundle(
+                args.obs_out,
+                argv,
+                args.seed,
+                variants=getattr(args, "obs_variants", None),
+            )
+            print(
+                f"[obs] wrote {len(trace['traceEvents'])} trace events "
+                f"to {args.obs_out}",
+                file=sys.stderr,
+            )
         return status
     finally:
-        if tracing:
+        if args.obs_out:
             obs.reset()

@@ -293,7 +293,7 @@ def _run_branch(
 
 def _warm(
     hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
-    trace, trace_ring_capacity, faults=None,
+    trace, faults=None,
 ):
     """Build a datacenter and run the warm-up prefix on it: provision,
     churn, rebalance.
@@ -306,7 +306,7 @@ def _warm(
     """
     datacenter = Datacenter(hosts=hosts, seed=seed, overcommit=overcommit)
     if trace:
-        datacenter.engine.tracer.enable(ring_capacity=trace_ring_capacity)
+        datacenter.engine.tracer.enable()
     injector = None
     if faults is not None:
         from repro.faults.injector import FaultInjector
@@ -578,7 +578,6 @@ def warm_fleet(
     settle_seconds=0.0,
     capture=True,
     trace=False,
-    trace_ring_capacity=None,
     label=None,
 ):
     """Pay the warm-up prefix once; returns a :class:`WarmFleet`.
@@ -590,8 +589,7 @@ def warm_fleet(
     whole world for copy-on-write fan-out.
     """
     fleet, _injector = _warm(
-        hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
-        trace, trace_ring_capacity,
+        hosts, tenants, seed, churn_operations, rebalance_moves, overcommit, trace
     )
     engine = fleet.engine
     if settle_seconds:
@@ -622,7 +620,6 @@ def run_fleet(
     probes=None,
     overcommit=1.0,
     trace=False,
-    trace_ring_capacity=None,
     faults=None,
     from_snapshot=None,
     shards=1,
@@ -640,8 +637,7 @@ def run_fleet(
     ``trace=True`` enables the fleet engine's tracer for the whole run
     (placements, churn-driven migrations, sweep waves, per-tenant
     probes); read it back via ``result.tracer`` or export with
-    ``result.write_trace(path)``.  ``trace_ring_capacity`` bounds the
-    event buffer for long runs (oldest events drop, counted).
+    ``result.write_trace(path)``.
 
     ``faults`` takes a :class:`~repro.faults.plan.FaultPlan`; the plan
     is armed on the fleet engine before the warm-up starts, and
@@ -673,6 +669,6 @@ def run_fleet(
         return from_snapshot.branch(shards=shards, **branch)
     fleet, injector = _warm(
         hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
-        trace, trace_ring_capacity, faults=faults,
+        trace, faults=faults,
     )
     return fleet.branch(shards=shards, injector=injector, **branch)

@@ -92,26 +92,17 @@ def _run_matrix(args, capture_metrics=False):
 
 
 def cmd_matrix_run(args):
-    import json
     import os
 
-    metrics_out = getattr(args, "matrix_metrics_out", None)
-    capture_metrics = bool(metrics_out or args.probe_budget is not None)
+    capture_metrics = bool(args.obs_out or args.probe_budget is not None)
     spec, report = _run_matrix(args, capture_metrics=capture_metrics)
     print(report.summary())
     if args.report_out:
         report.write(args.report_out)
         print(f"[matrix] wrote report to {args.report_out}", file=sys.stderr)
-    if metrics_out:
-        with open(metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                report.variant_metrics(), handle, indent=2, sort_keys=True
-            )
-            handle.write("\n")
-        print(
-            f"[matrix] wrote per-variant metrics to {metrics_out}",
-            file=sys.stderr,
-        )
+    if args.obs_out:
+        # The run bundle writes these as variants.json.
+        args.obs_variants = report.variant_metrics()
     if args.probe_budget is not None:
         violations = report.probe_budget_violations(args.probe_budget)
         for variant_id, overhead_pct in violations:
@@ -258,15 +249,6 @@ def add_matrix_commands(subparsers):
         "--report-out",
         metavar="PATH",
         help="write the MatrixReport JSON (with wall clocks) to PATH",
-    )
-    matrix_run.add_argument(
-        "--metrics-out",
-        # Own dest: the root parser's global --metrics-out dumps the
-        # process-wide registry, which would clobber this file.
-        dest="matrix_metrics_out",
-        metavar="PATH",
-        help="capture per-variant metrics (per-tenant probe overhead) "
-        "and write {variant: metrics} JSON to PATH",
     )
     matrix_run.add_argument(
         "--probe-budget",

@@ -9,7 +9,7 @@ against:
 * :class:`~repro.obs.metrics.MetricRegistry` — labelled counters,
   gauges, and log2-bucketed histograms (``tracer.metrics``);
 * :mod:`~repro.obs.export` — Chrome/Perfetto trace JSON, deterministic
-  metrics dumps, and the trace-schema validator;
+  metrics dumps, the run bundle, and the trace-schema validator;
 * :mod:`~repro.obs.config` — process-wide defaults so CLI flags reach
   engines built deep inside scenario helpers;
 * :mod:`~repro.obs.analysis` — offline span-tree reconstruction,
@@ -46,8 +46,8 @@ from repro.obs.history import (
 from repro.obs.export import (
     chrome_trace,
     metrics_json,
-    metrics_text,
     validate_trace,
+    write_bundle,
     write_chrome_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
@@ -72,11 +72,11 @@ __all__ = [
     "format_diff",
     "load_bench_history",
     "metrics_json",
-    "metrics_text",
     "register",
     "reset",
     "tracers",
     "validate_trace",
+    "write_bundle",
     "write_chrome_trace",
     "write_collapsed_stacks",
     "write_diff_report",

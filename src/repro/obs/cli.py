@@ -1,14 +1,15 @@
 """``repro obs`` subcommands: report, diff, flame, critical-path.
 
-All four operate *offline* on artifacts an earlier run wrote — a
-Chrome trace JSON (``--trace-out``), a metrics dump (``--metrics-out``),
-a saved summary (``obs report --json``), or the bench-history ledger —
-so analysis never re-runs a scenario and adds zero engine-side
+All four operate *offline* on artifacts an earlier run wrote — the
+``trace.json`` and ``metrics.json`` of a run bundle (``repro --obs-out
+DIR``), a saved summary (``obs report --json``), or the bench-history
+ledger — so analysis never re-runs a scenario and adds zero engine-side
 overhead.  Wired into the main parser by :func:`add_obs_commands`;
 heavy imports stay inside the handlers.
 """
 
 import json
+import os
 import sys
 
 
@@ -31,8 +32,11 @@ def cmd_obs_report(args):
     print(analysis.format(top=args.top))
     if args.json:
         document = analysis.summary()
-        if args.metrics_in:
-            with open(args.metrics_in, "r", encoding="utf-8") as handle:
+        # A bundle's metrics.json sits next to its trace.json; embedding
+        # it lets one summary file diff both surfaces.
+        metrics = os.path.join(os.path.dirname(args.trace), "metrics.json")
+        if os.path.exists(metrics):
+            with open(metrics, "r", encoding="utf-8") as handle:
                 document["metrics"] = json.load(handle)
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
@@ -135,19 +139,14 @@ def add_obs_commands(subparsers):
         help="span-tree summary of a trace: attribution, critical path, "
         "probe overhead",
     )
-    report.add_argument("trace", help="Chrome trace JSON (--trace-out)")
     report.add_argument(
-        "--metrics",
-        # Own dest: the root parser's global --metrics is a store_true
-        # that would make main() enable tracing for this offline command.
-        dest="metrics_in",
-        metavar="PATH",
-        help="metrics dump (--metrics-out) to embed in the --json summary",
+        "trace", help="Chrome trace JSON (trace.json of an --obs-out bundle)"
     )
     report.add_argument(
         "--json",
         metavar="PATH",
-        help="write the deterministic summary JSON (the `obs diff` input)",
+        help="write the deterministic summary JSON (the `obs diff` input), "
+        "with the metrics.json next to the trace embedded",
     )
     report.add_argument(
         "--top",
@@ -194,7 +193,9 @@ def add_obs_commands(subparsers):
         "flame",
         help="collapsed-stack flamegraph export (self time, virtual ns)",
     )
-    flame.add_argument("trace", help="Chrome trace JSON (--trace-out)")
+    flame.add_argument(
+        "trace", help="Chrome trace JSON (trace.json of an --obs-out bundle)"
+    )
     flame.add_argument(
         "-o",
         "--output",
@@ -207,7 +208,9 @@ def add_obs_commands(subparsers):
         "critical-path",
         help="longest-child chain from the heaviest root span",
     )
-    critical.add_argument("trace", help="Chrome trace JSON (--trace-out)")
+    critical.add_argument(
+        "trace", help="Chrome trace JSON (trace.json of an --obs-out bundle)"
+    )
     critical.add_argument(
         "--track",
         metavar="NAME",

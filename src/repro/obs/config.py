@@ -19,27 +19,11 @@ _SENTINEL = object()
 class ObsConfig:
     """Defaults a newly created tracer starts from."""
 
-    __slots__ = (
-        "enabled",
-        "record_spans",
-        "ring_capacity",
-        "step_sample_interval",
-        "exit_sample_interval",
-    )
+    __slots__ = ("enabled", "ring_capacity")
 
-    def __init__(
-        self,
-        enabled=False,
-        record_spans=True,
-        ring_capacity=None,
-        step_sample_interval=1024,
-        exit_sample_interval=256,
-    ):
+    def __init__(self, enabled=False, ring_capacity=None):
         self.enabled = enabled
-        self.record_spans = record_spans
         self.ring_capacity = ring_capacity
-        self.step_sample_interval = step_sample_interval
-        self.exit_sample_interval = exit_sample_interval
 
 
 _active = ObsConfig()
@@ -51,23 +35,12 @@ def active_config():
     return _active
 
 
-def configure(
-    enabled=_SENTINEL,
-    record_spans=_SENTINEL,
-    ring_capacity=_SENTINEL,
-    step_sample_interval=_SENTINEL,
-    exit_sample_interval=_SENTINEL,
-):
+def configure(enabled=_SENTINEL, ring_capacity=_SENTINEL):
     """Update the process-wide defaults; returns the active config."""
-    for name, value in (
-        ("enabled", enabled),
-        ("record_spans", record_spans),
-        ("ring_capacity", ring_capacity),
-        ("step_sample_interval", step_sample_interval),
-        ("exit_sample_interval", exit_sample_interval),
-    ):
-        if value is not _SENTINEL:
-            setattr(_active, name, value)
+    if enabled is not _SENTINEL:
+        _active.enabled = enabled
+    if ring_capacity is not _SENTINEL:
+        _active.ring_capacity = ring_capacity
     return _active
 
 

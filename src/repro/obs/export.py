@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto trace JSON and metrics dumps.
+"""Exporters: Chrome/Perfetto trace JSON, metrics dumps, run bundles.
 
 The trace export follows the Chrome trace-event format (the JSON array
 flavour wrapped in an object), which Perfetto's UI
@@ -9,13 +9,19 @@ them.  Timestamps are virtual-time microseconds; wall-clock stamps are
 attached under ``args.wall_ns`` only when ``include_wall=True`` so the
 default export is byte-identical across same-seed runs.
 
+:func:`write_bundle` writes everything one run observed into one
+directory (``repro --obs-out DIR``).
+
 :func:`validate_trace` is the schema gate CI runs against the smoke
 trace — it checks structural invariants (phase codes, required fields,
 non-negative times), not semantics.
 """
 
 import json
+import os
+import platform
 
+from repro import __version__
 from repro.obs import config as obs_config
 
 #: Phase codes the exporter emits / the validator accepts.
@@ -105,31 +111,58 @@ def write_chrome_trace(path, tracers=None, include_wall=False):
 
 
 def metrics_json(tracers=None):
-    """Deterministic ``{engine_label: metrics}`` dump across tracers."""
+    """Deterministic ``{engine_label: {"metrics", "perf"}}`` dump.
+
+    Each engine's tracepoint metrics and its perf counters, side by
+    side, once each.
+    """
     if tracers is None:
         tracers = obs_config.tracers()
     dump = {}
     for index, tracer in enumerate(tracers):
         label = tracer.label or f"engine-{index}"
         tracer.flush()
-        dump[label] = tracer.metrics.as_dict()
+        dump[label] = {
+            "metrics": tracer.metrics.as_dict(),
+            "perf": tracer.engine.perf.as_dict(),
+        }
     return dump
 
 
-def metrics_text(tracers=None):
-    """Human-readable metrics rendering for ``--metrics``."""
-    if tracers is None:
-        tracers = obs_config.tracers()
-    lines = []
-    for index, tracer in enumerate(tracers):
-        label = tracer.label or f"engine-{index}"
-        tracer.flush()
-        lines.append(f"[metrics] {label}")
-        if len(tracer.metrics):
-            lines.append(tracer.metrics.format())
-        else:
-            lines.append("  (no metrics recorded)")
-    return "\n".join(lines)
+def _write_json(path, document):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def write_bundle(directory, argv, seed, variants=None):
+    """Write the registered tracers' observations into ``directory``.
+
+    * ``trace.json`` — the merged Chrome trace (:func:`write_chrome_trace`);
+    * ``metrics.json`` — :func:`metrics_json`;
+    * ``manifest.json`` — what ran where: argv, seed, Python version,
+      CPU count, repro version;
+    * ``variants.json`` — per-variant metrics, when ``variants`` is
+      given (``repro matrix run``).
+
+    Returns the trace object.
+    """
+    os.makedirs(directory, exist_ok=True)
+    trace = write_chrome_trace(os.path.join(directory, "trace.json"))
+    _write_json(os.path.join(directory, "metrics.json"), metrics_json())
+    _write_json(
+        os.path.join(directory, "manifest.json"),
+        {
+            "argv": list(argv),
+            "seed": seed,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "repro_version": __version__,
+        },
+    )
+    if variants is not None:
+        _write_json(os.path.join(directory, "variants.json"), variants)
+    return trace
 
 
 def validate_trace(trace, require_names=()):

@@ -14,9 +14,9 @@ latencies (sub-µs private writes vs hundreds-of-µs CoW breaks, Figs
 5/6) a compact fixed-cost representation — recording is one
 ``frexp`` + dict increment, never a list append.
 
-Everything renders deterministically: ``as_dict`` and ``format`` sort
-by metric key, histogram buckets by bound, so two identical-seed runs
-dump byte-identical metrics.
+Everything renders deterministically: ``as_dict`` sorts by metric
+key, histogram buckets by bound, so two identical-seed runs dump
+byte-identical metrics.
 """
 
 import math
@@ -206,19 +206,3 @@ class MetricRegistry:
             name: {"kind": metric.kind, "value": metric.as_value()}
             for name, metric in self
         }
-
-    def format(self, indent="  "):
-        """Human-readable multi-line rendering for ``--metrics``."""
-        lines = []
-        for name, metric in self:
-            if metric.kind == "histogram":
-                lines.append(
-                    f"{indent}{name}  count={metric.count} "
-                    f"sum={metric.total:.6g} min={metric.min:.6g} "
-                    f"max={metric.max:.6g} p50~{metric.quantile(0.5):.6g}"
-                    if metric.count
-                    else f"{indent}{name}  count=0"
-                )
-            else:
-                lines.append(f"{indent}{name}  {metric.as_value():g}")
-        return "\n".join(lines)

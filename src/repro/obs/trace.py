@@ -27,9 +27,9 @@ Three event shapes, following the Chrome trace-event model:
 
 Two unbounded-volume sources are decimated deterministically (by call
 count, never wall time): :meth:`on_step` samples the engine loop every
-``step_sample_interval`` dispatches, and :meth:`vm_exit` coalesces
+:data:`STEP_SAMPLE_INTERVAL` dispatches, and :meth:`vm_exit` coalesces
 per-(VM, reason, depth) exit bursts into one instant per
-``exit_sample_interval`` recordings.  Ring-buffer mode
+:data:`EXIT_SAMPLE_INTERVAL` recordings.  Ring-buffer mode
 (``ring_capacity``) caps memory for long fleet runs by dropping the
 oldest events, counting the drops.
 """
@@ -40,6 +40,12 @@ from collections import deque
 from repro.obs import config as obs_config
 from repro.obs.metrics import MetricRegistry
 
+#: Engine dispatches between two ``engine`` counter samples.
+STEP_SAMPLE_INTERVAL = 1024
+
+#: VM-exit recordings per (VM, reason, depth) coalesced into one instant.
+EXIT_SAMPLE_INTERVAL = 256
+
 
 class Tracer:
     """Per-engine trace-event recorder and metric registry host."""
@@ -48,12 +54,9 @@ class Tracer:
         "engine",
         "label",
         "enabled",
-        "record_spans",
         "metrics",
         "dropped_events",
         "ring_capacity",
-        "step_sample_interval",
-        "exit_sample_interval",
         "_events",
         "_step_countdown",
         "_perf_mark",
@@ -68,24 +71,20 @@ class Tracer:
         self.metrics = MetricRegistry()
         self.dropped_events = 0
         self.ring_capacity = cfg.ring_capacity
-        self.step_sample_interval = cfg.step_sample_interval
-        self.exit_sample_interval = cfg.exit_sample_interval
         self._events = deque()
-        self._step_countdown = self.step_sample_interval
+        self._step_countdown = STEP_SAMPLE_INTERVAL
         self._perf_mark = None
         self._exit_pending = {}
         self._wall = time.perf_counter_ns
-        self.record_spans = cfg.record_spans
         self.enabled = False
         if cfg.enabled:
-            self.enable(record_spans=cfg.record_spans)
+            self.enable()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def enable(self, record_spans=True, ring_capacity=None):
+    def enable(self, ring_capacity=None):
         """Turn recording on (and register for end-of-run export)."""
         self.enabled = True
-        self.record_spans = record_spans
         if ring_capacity is not None:
             self.ring_capacity = ring_capacity
         obs_config.register(self)
@@ -108,16 +107,12 @@ class Tracer:
 
     def instant(self, name, cat, track="main", args=None):
         """Record a point event at the current virtual time."""
-        if not self.record_spans:
-            return
         self._append(
             ("i", name, cat, track, self.engine.now * 1e6, 0.0, self._wall(), args)
         )
 
     def complete(self, name, cat, start_seconds, track="main", args=None):
         """Record a span from ``start_seconds`` (virtual) to now."""
-        if not self.record_spans:
-            return
         start_us = start_seconds * 1e6
         self._append(
             (
@@ -134,8 +129,6 @@ class Tracer:
 
     def counter_sample(self, name, values, track="counters"):
         """Record a counter sample (``values``: series name -> number)."""
-        if not self.record_spans:
-            return
         self._append(
             ("C", name, None, track, self.engine.now * 1e6, 0.0, self._wall(), values)
         )
@@ -145,7 +138,7 @@ class Tracer:
     def on_step(self, engine):
         """Called by ``Engine.step`` per dispatch (when enabled).
 
-        Every ``step_sample_interval`` dispatches, emits one counter
+        Every :data:`STEP_SAMPLE_INTERVAL` dispatches, emits one counter
         sample carrying the queue depth and the perf-counter deltas
         since the previous sample (``PerfCounters.delta``), so the
         timeline shows *where* the simulation spent its work.
@@ -153,7 +146,7 @@ class Tracer:
         self._step_countdown -= 1
         if self._step_countdown > 0:
             return
-        self._step_countdown = self.step_sample_interval
+        self._step_countdown = STEP_SAMPLE_INTERVAL
         perf = engine.perf
         mark = self._perf_mark
         self._perf_mark = perf.snapshot()
@@ -178,7 +171,7 @@ class Tracer:
 
         Exits fire per syscall and would swamp the trace one-by-one, so
         each (VM, reason, depth) key accumulates until
-        ``exit_sample_interval`` recordings, then flushes as a single
+        :data:`EXIT_SAMPLE_INTERVAL` recordings, then flushes as a single
         ``vm_exit`` instant carrying the accumulated count.  The
         remainder flushes at export (:meth:`flush`).
         """
@@ -188,7 +181,7 @@ class Tracer:
             self._exit_pending[key] = pending = [0, 0.0]
         pending[0] += 1
         pending[1] += count
-        if pending[0] >= self.exit_sample_interval:
+        if pending[0] >= EXIT_SAMPLE_INTERVAL:
             self._flush_exit(key, pending)
 
     def _flush_exit(self, key, pending):
@@ -208,17 +201,10 @@ class Tracer:
         """Drain pending aggregations (call before reading events)."""
         for key in sorted(self._exit_pending, key=lambda k: (k[0], k[1].value, k[2])):
             self._flush_exit(key, self._exit_pending[key])
-        # Mirror the engine's perf counters into the registry as gauges,
-        # so metric dumps show the data-plane counters (page_store_*,
-        # ksm_bucket_merges, dirty_words_scanned, ...) alongside the
-        # tracepoint metrics.
+        # Ring-buffer drops would silently bias any analysis built on
+        # this trace; surface them in every metric dump.
         if self.enabled:
-            gauge = self.metrics.gauge
-            for name, value in self.engine.perf.as_dict().items():
-                gauge(f"perf.{name}").set(value)
-            # Ring-buffer drops would silently bias any analysis built
-            # on this trace; surface them in every metric dump.
-            gauge("trace.drops").set(self.dropped_events)
+            self.metrics.gauge("trace.drops").set(self.dropped_events)
 
     # -- reading -----------------------------------------------------------
 

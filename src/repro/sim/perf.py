@@ -140,14 +140,6 @@ class PerfCounters:
             for name in self.__slots__
         }
 
-    def format(self, indent="  "):
-        """Human-readable multi-line rendering for ``repro --perf``."""
-        width = max(len(name) for name in self.__slots__)
-        return "\n".join(
-            f"{indent}{name:<{width}}  {getattr(self, name):>12,}"
-            for name in self.__slots__
-        )
-
     def __repr__(self):
         return (
             f"<PerfCounters events={self.events_dispatched} "

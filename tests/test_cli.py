@@ -84,3 +84,30 @@ def test_fleet_chaos_fanout_rejects_non_positive(value, capsys):
         main(["fleet", "chaos", "--from-warm", "--fanout", value])
     assert excinfo.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_trace_ring_rejects_non_positive(value, tmp_path, capsys):
+    # Used to reach the tracer and die popping from an empty ring.
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "--trace-ring", value, "--obs-out", str(tmp_path / "obs"),
+                "detect", "--pages", "8",
+            ]
+        )
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_detect_pages_rejects_non_positive(value, capsys):
+    # Used to surface as a DetectionError traceback mid-run.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["detect", "--pages", value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 from repro import obs, scenarios
 from repro.cli import main
 from repro.core.detection.dedup_detector import DedupDetector
+from repro.obs import trace as obs_trace
 from repro.obs.export import chrome_trace, validate_trace
 from repro.obs.metrics import Histogram, MetricRegistry
 from repro.sim.engine import Engine
@@ -112,7 +113,7 @@ def test_registry_deterministic_order():
     assert [name for name, _ in registry] == sorted(
         name for name, _ in registry
     )
-    assert "a{vm=x}" in registry.format()
+    assert "a{vm=x}" in registry.as_dict()
 
 
 # -- tracer core ------------------------------------------------------------
@@ -192,10 +193,10 @@ def test_ring_buffer_drops_exposed_as_gauge():
     assert other.metrics.as_dict()["trace.drops"]["value"] == 0
 
 
-def test_vm_exit_aggregation_flushes_deterministically():
+def test_vm_exit_aggregation_flushes_deterministically(monkeypatch):
+    monkeypatch.setattr(obs_trace, "EXIT_SAMPLE_INTERVAL", 4)
     engine = Engine()
     tracer = engine.tracer.enable()
-    tracer.exit_sample_interval = 4
 
     class Reason:
         def __init__(self, value):
@@ -353,17 +354,24 @@ def test_perf_snapshot_delta():
 # -- CLI wiring -------------------------------------------------------------
 
 
-def test_cli_trace_out_produces_valid_trace(tmp_path, capsys):
-    path = tmp_path / "trace.json"
-    assert (
-        main(
-            ["--seed", "11", "--trace-out", str(path), "detect", "--pages", "8"]
-        )
-        == 0
-    )
-    err = capsys.readouterr().err
-    assert "[trace] wrote" in err
-    trace = json.loads(path.read_text())
+def _bundle(tmp_path, *argv):
+    """Run ``repro --seed 11 --obs-out DIR <argv>``; returns DIR."""
+    bundle = tmp_path / "obs"
+    assert main(["--seed", "11", "--obs-out", str(bundle), *argv]) == 0
+    return bundle
+
+
+def test_cli_obs_out_writes_valid_trace(tmp_path, capsys):
+    bundle = _bundle(tmp_path, "detect", "--pages", "8")
+    captured = capsys.readouterr()
+    assert "[obs] wrote" in captured.err
+    assert "[obs]" not in captured.out
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "manifest.json",
+        "metrics.json",
+        "trace.json",
+    ]
+    trace = json.loads((bundle / "trace.json").read_text())
     problems = validate_trace(
         trace,
         require_names=["vm_exit", "ksm.pass", "migration.", "detect."],
@@ -371,45 +379,31 @@ def test_cli_trace_out_produces_valid_trace(tmp_path, capsys):
     assert problems == []
     # detect builds two engines: the clean and the compromised host.
     assert {e["pid"] for e in trace["traceEvents"]} == {1, 2}
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert manifest["argv"][-3:] == ["detect", "--pages", "8"]
+    assert manifest["seed"] == 11
 
 
-def test_cli_metrics_to_stderr(capsys):
-    assert main(["--seed", "11", "--metrics", "detect", "--pages", "8"]) == 0
-    captured = capsys.readouterr()
-    assert "[metrics]" in captured.err
-    assert "detect.write_fault_us" in captured.err
-    assert "[metrics]" not in captured.out
+def test_cli_obs_out_writes_metrics(tmp_path):
+    bundle = _bundle(tmp_path, "detect", "--pages", "8")
+    dump = json.loads((bundle / "metrics.json").read_text())
+    for engine in dump.values():
+        assert "detect.write_fault_us{phase=t1}" in engine["metrics"]
+        assert "trace.drops" in engine["metrics"]
+        # Perf counters appear once, under "perf", not mirrored as gauges.
+        assert not any(name.startswith("perf.") for name in engine["metrics"])
 
 
-def test_cli_perf_to_stderr(capsys):
-    assert main(["--seed", "11", "--perf", "detect", "--pages", "8"]) == 0
-    captured = capsys.readouterr()
-    assert "[perf]" in captured.err
-    assert "events_dispatched" in captured.err
-    assert "[perf]" not in captured.out
-
-
-def test_cli_perf_json(capsys):
-    assert main(["--seed", "11", "--perf-json", "detect", "--pages", "8"]) == 0
-    captured = capsys.readouterr()
-    records = [
-        json.loads(line)
-        for line in captured.err.splitlines()
-        if line.startswith("{")
-    ]
-    assert len(records) == 2
-    assert all(r["events_dispatched"] > 0 for r in records)
-    assert records[0]["label"] == "clean guest"
+def test_cli_perf_json(tmp_path):
+    bundle = _bundle(tmp_path, "detect", "--pages", "8")
+    dump = json.loads((bundle / "metrics.json").read_text())
+    # One record per engine, in creation order: clean host, then nested.
+    assert list(dump) == ["engine-0", "engine-1"]
+    assert all(e["perf"]["events_dispatched"] > 0 for e in dump.values())
 
 
 def test_cli_resets_obs_state(tmp_path):
-    path = tmp_path / "trace.json"
-    assert (
-        main(
-            ["--seed", "11", "--trace-out", str(path), "detect", "--pages", "8"]
-        )
-        == 0
-    )
+    _bundle(tmp_path, "detect", "--pages", "8")
     assert obs.tracers() == []
     assert not obs.active_config().enabled
 

@@ -408,41 +408,20 @@ def test_history_ledger_append_load_diff(tmp_path):
 
 @pytest.fixture(scope="module")
 def traced_artifacts(tmp_path_factory):
-    """One traced detection run shared by the CLI tests (read-only)."""
-    base = tmp_path_factory.mktemp("obs_cli")
-    trace = base / "trace.json"
-    metrics = base / "metrics.json"
+    """One traced detection run's bundle, shared by the CLI tests
+    (read-only)."""
+    bundle = tmp_path_factory.mktemp("obs_cli") / "bundle"
     status = main(
-        [
-            "--seed",
-            "17",
-            "--trace-out",
-            str(trace),
-            "--metrics-out",
-            str(metrics),
-            "detect",
-            "--pages",
-            "8",
-        ]
+        ["--seed", "17", "--obs-out", str(bundle), "detect", "--pages", "8"]
     )
     assert status == 0
-    return trace, metrics
+    return bundle / "trace.json", bundle / "metrics.json"
 
 
 def test_cli_obs_report_text_and_json(traced_artifacts, tmp_path, capsys):
     trace, metrics = traced_artifacts
     summary_path = tmp_path / "summary.json"
-    status = main(
-        [
-            "obs",
-            "report",
-            str(trace),
-            "--metrics",
-            str(metrics),
-            "--json",
-            str(summary_path),
-        ]
-    )
+    status = main(["obs", "report", str(trace), "--json", str(summary_path)])
     assert status == 0
     out = capsys.readouterr().out
     assert "top span names by self time" in out
@@ -450,9 +429,9 @@ def test_cli_obs_report_text_and_json(traced_artifacts, tmp_path, capsys):
     summary = json.loads(summary_path.read_text())
     assert summary["events"]["spans"] > 0
     assert "attribution" in summary
-    # --metrics embeds the metrics dump alongside the trace summary, so
-    # one file diffs both surfaces.
-    assert "metrics" in summary
+    # The bundle's metrics.json rides along in the summary, so one file
+    # diffs both surfaces.
+    assert summary["metrics"] == json.loads(metrics.read_text())
     # detect has no per-tenant probes: the fallback attribution kicks in.
     assert summary["probe_overhead"]["source"] == "detect.run"
 

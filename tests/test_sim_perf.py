@@ -24,14 +24,12 @@ def test_engine_counts_basic_work():
     assert perf.processes_resumed >= 3  # init + two timeouts
 
 
-def test_reset_and_format():
+def test_reset_and_as_dict():
     engine = Engine()
     engine.timeout(0.5)
     engine.run()
     perf = engine.perf
     assert perf.timer_fast_path == 1
-    text = perf.format()
-    assert "timer_fast_path" in text and "events_dispatched" in text
     assert dict(perf.as_dict()) == {
         key: getattr(perf, key) for key in perf.as_dict()
     }

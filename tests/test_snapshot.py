@@ -9,7 +9,7 @@ its contract at the engine/machine level:
   or sibling branches;
 * `snapshot_captures` / `engine_forks` / `fork_pages_shared` /
   `fork_cow_breaks` count exactly, `snapshot.*` trace instants land in
-  the trace, and the counters mirror into `perf.*` gauges;
+  the trace, and metric dumps carry the counters;
 * a fork resumes the original timeline byte-identically (same KSM
   passes, same perf counters) — the fleet-level twin of this check
   lives in test_fleet_fanout.py;
@@ -23,6 +23,7 @@ import pytest
 
 from repro.hardware.machine import Machine
 from repro.hypervisor.ksm import KsmDaemon
+from repro.obs.export import metrics_json
 from repro.sim.snapshot import SnapshotError, heap_frozen
 
 #: Perf counters that legitimately differ between a forked engine and
@@ -109,11 +110,10 @@ def test_counters_instants_and_gauges():
     assert "snapshot.capture" in names
     assert "snapshot.fork" in names
 
-    # The PR-5 gauge mirror picks the new counters up for free.
-    engine.tracer.flush()
-    metrics = engine.tracer.metrics.as_dict()
-    assert metrics["perf.snapshot_captures"]["value"] == 1
-    assert metrics["perf.engine_forks"]["value"] == 1
+    # Metric dumps carry the perf counters next to the registry.
+    (dump,) = metrics_json([engine.tracer]).values()
+    assert dump["perf"]["snapshot_captures"] == 1
+    assert dump["perf"]["engine_forks"] == 1
     fork.dispose()
     snapshot.dispose()
 
