@@ -134,7 +134,6 @@ def _run_fleet_from_args(args, **overrides):
         rebalance_moves=getattr(args, "migrations", 0),
         campaigns=getattr(args, "campaigns", 0),
         sweeps=getattr(args, "sweeps", 0),
-        shards=getattr(args, "shards", None) or 1,
     )
     params.update(overrides)
     return run_fleet(**params)
@@ -266,18 +265,9 @@ def build_parser():
     def _fleet_common(sub_parser, hosts, tenants):
         sub_parser.add_argument("--hosts", type=int, default=hosts)
         sub_parser.add_argument("--tenants", type=int, default=tenants)
-        sub_parser.add_argument("--seed", type=int, default=1701)
-
-    def _shards_arg(sub_parser):
-        sub_parser.add_argument(
-            "--shards",
-            type=positive_int,
-            default=None,
-            metavar="N",
-            help="shard the attack/sweep phase across N worker processes "
-            "with rack-aligned host ownership (results identical to "
-            "serial; N must not exceed --hosts)",
-        )
+        # SUPPRESS: without it the subcommand's default would overwrite
+        # a root-level `repro --seed N fleet ...` (both default to 1701).
+        sub_parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     fleet_run = fleet_sub.add_parser("run")
     _fleet_common(fleet_run, hosts=8, tenants=64)
@@ -285,11 +275,9 @@ def build_parser():
     fleet_run.add_argument("--migrations", type=int, default=2)
     fleet_run.add_argument("--campaigns", type=int, default=1)
     fleet_run.add_argument("--sweeps", type=int, default=1)
-    _shards_arg(fleet_run)
     fleet_run.set_defaults(func=cmd_fleet_run)
     fleet_sweep = fleet_sub.add_parser("sweep")
     _fleet_common(fleet_sweep, hosts=4, tenants=12)
-    _shards_arg(fleet_sweep)
     fleet_sweep.set_defaults(func=cmd_fleet_sweep)
     fleet_chaos = fleet_sub.add_parser(
         "chaos", help="score detection recall under injected fault mixes"

@@ -225,11 +225,11 @@ def _run_branch(
     :class:`FleetRunResult`.
 
     ``shards > 1`` runs this branch sharded across worker processes
-    (:mod:`repro.cloud.sharding`): hosts partition rack-aligned, each
-    worker simulates only its own hosts, and cross-shard sweep/install
-    completions synchronize over pipes.  Same-seed results are
-    fingerprint-identical to the serial path; ``shards=1`` *is* the
-    serial path.  ``injector`` passes a pre-armed FaultInjector (the
+    (:mod:`repro.cloud.sharding`): hosts partition into contiguous
+    groups, each worker simulates only its own hosts, and cross-shard
+    sweep/install completions synchronize over pipes.  Same-seed
+    results are fingerprint-identical to the serial path; ``shards=1``
+    *is* the serial path, and a traced branch must use it.  ``injector`` passes a pre-armed FaultInjector (the
     cold ``run_fleet`` arms at t=0, before its warm phase) instead of
     arming ``faults`` here.
     """
@@ -499,11 +499,11 @@ def fan_out_jobs(
     """The fan-out executor: run ``(key, params)`` fleet jobs, paying
     each distinct warm-up once.
 
-    ``params`` mixes :data:`WARM_KEYS` and :data:`BRANCH_KEYS` (plus
-    ``shards``); jobs with equal warm halves form a warm group.  A
-    group of several jobs captures its warm fleet and forks one branch
-    per job; a lone job runs on the live fleet; ``warm_fork=False`` (the
-    cold comparator) gives every job its own live warm-up.
+    ``params`` mixes :data:`WARM_KEYS` and :data:`BRANCH_KEYS`; jobs
+    with equal warm halves form a warm group.  A group of several jobs
+    captures its warm fleet and forks one branch per job; a lone job
+    runs on the live fleet; ``warm_fork=False`` (the cold comparator)
+    gives every job its own live warm-up.
     ``score(key, result)`` turns each FleetRunResult into its job's
     entry.
 
@@ -629,7 +629,7 @@ def run_fleet(
     A cold run is the warm-up of :func:`warm_fleet` (uncaptured)
     followed by one branch on the same engine.  ``shards > 1`` splits
     the branch (attack/sweep) phase across worker processes with
-    rack-aligned host ownership and conservative virtual-time sync
+    contiguous host ownership and conservative virtual-time sync
     (:mod:`repro.cloud.sharding`); the warm-up runs serially first (its
     cross-host migrations need the whole fabric in one engine), and
     results stay fingerprint-identical to ``shards=1``.

@@ -10,28 +10,22 @@ the control plane in every process:
   records, campaign target sampling, sweep scheduling, fault arming
   all replay byte-for-byte because they draw from the same forked RNG
   streams at the same virtual times;
-* each replica *simulates* only the hosts its shard owns
-  (rack-aligned :class:`~repro.sim.shard.ShardPlan`): non-owned
-  hosts' KSM daemons and tenant workloads are stopped right after the
-  fork, so they generate no events;
+* each replica *simulates* only the hosts its shard owns (a
+  contiguous :class:`~repro.sim.shard.ShardPlan`): non-owned hosts'
+  KSM daemons and tenant workloads are stopped right after the fork,
+  so they generate no events;
 * host-heavy operations (per-host monitoring sweeps, CloudSkulk
   installs) run on the owner only and their completions cross the
   mesh as timestamped messages; the other replicas wait on ghost
   events the shard governor fulfils at the recorded virtual time.
 
-The runtime lookahead is pinned to ``0.0``: the channels sharded here
-(sweep aggregation, campaign completion) are instantaneous in serial
-semantics — control observes the completion at the exact virtual time
-it happened — so any positive lookahead would let a replica's clock
-pass a completion it had not seen yet.  Fabric-borne channels with a
-real latency floor derive theirs from the uplink latency instead
-(:meth:`~repro.sim.shard.ShardPlan.from_datacenter` records it as
-``plan.lookahead``); the protocol-level tests exercise that path.
-
 Every replica finishes by building the same result object and
 exchanging a digest of its deterministic summary at the fin barrier —
 a replica that diverged (a nondeterministic seam we missed) fails the
 whole run loudly instead of silently desynchronizing.
+
+A traced branch is refused before any worker forks: each worker would
+hold only its own hosts' trace rows, so the run must be serial.
 """
 
 import os
@@ -183,9 +177,9 @@ def _worker_conns(pipes, index):
 
 
 def _run_replica(datacenter, plan, conns, index, control_factory, finish, name):
-    """One shard's whole life: freeze, run, digest, barrier, merge."""
+    """One shard's whole life: freeze, run, digest, barrier."""
     engine = datacenter.engine
-    runtime = ShardRuntime(engine, index, conns, lookahead=0.0)
+    runtime = ShardRuntime(engine, index, conns)
     context = ShardContext(plan, runtime)
     _freeze_foreign_hosts(datacenter, plan, index)
     datacenter.shard = context
@@ -198,14 +192,6 @@ def _run_replica(datacenter, plan, conns, index, control_factory, finish, name):
         engine.run(control)
         result = finish()
         digest = result.summary() if hasattr(result, "summary") else repr(result)
-        if engine.tracer.enabled and index != 0:
-            from repro.obs.shard_merge import collect_shard_events
-
-            runtime.send_payload(
-                collect_shard_events(
-                    engine.tracer, plan.groups[index], datacenter.hosts
-                )
-            )
         fins = runtime.finish(
             digest,
             extra={
@@ -223,21 +209,6 @@ def _run_replica(datacenter, plan, conns, index, control_factory, finish, name):
                     f"replica divergence: shard(s) {diverged} produced a "
                     "different run summary than shard 0 — the control plane "
                     "consumed nondeterministic state somewhere"
-                )
-            if runtime._payloads:
-                from repro.obs.shard_merge import merge_shard_events
-
-                scope_owner = {}
-                for host_name, host in datacenter.hosts.items():
-                    owner = plan.owner_of(host_name)
-                    for tenant_name in host.tenants:
-                        scope_owner[tenant_name] = owner
-                        scope_owner[f"gx-{tenant_name}"] = owner
-                merge_shard_events(
-                    engine.tracer,
-                    runtime._payloads,
-                    datacenter.hosts,
-                    scope_owner=scope_owner,
                 )
         return result, runtime.stats()
     except BaseException:
@@ -261,9 +232,11 @@ def run_control_sharded(
     The caller handles ``shards == 1`` itself (this function always
     forks).
     """
-    plan = ShardPlan.from_datacenter(datacenter, shards)
+    plan = ShardPlan.contiguous(datacenter.hosts, shards)
     if shards < 2:
         raise ShardError("run_control_sharded needs shards >= 2")
+    if datacenter.engine.tracer.enabled:
+        raise ShardError("tracing a sharded branch is not supported; run it serial")
     pipes = {}
     for left in range(shards):
         for right in range(left + 1, shards):

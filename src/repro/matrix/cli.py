@@ -85,7 +85,6 @@ def _run_matrix(args, capture_metrics=False):
         processes=args.processes,
         warm_fork=not getattr(args, "cold", False),
         capture_metrics=capture_metrics,
-        shards=getattr(args, "shards", None),
     )
     report = runner.run(only=args.only, no=args.no)
     return spec, report
@@ -204,16 +203,6 @@ def add_matrix_commands(subparsers):
             metavar="P",
             help="spread warm groups across P worker processes "
             "(deterministic merge; report identical to serial)",
-        )
-        parser.add_argument(
-            "--shards",
-            type=positive_int,
-            default=None,
-            metavar="N",
-            help="run each variant's branch phase sharded across N "
-            "worker processes with rack-aligned host ownership "
-            "(fingerprints identical to serial; N must not exceed "
-            "the fleet's host count)",
         )
         parser.add_argument(
             "--cold",

@@ -81,7 +81,11 @@ def _variant_entry(variant, result, capture_metrics):
 
 
 class MatrixRunner:
-    """Expands a spec and runs every variant through the fleet harness."""
+    """Expands a spec and runs every variant through the fleet harness.
+
+    Each variant's branch runs in one process; ``processes`` is the
+    only parallelism (whole branches spread over forked workers).
+    """
 
     def __init__(
         self,
@@ -89,20 +93,13 @@ class MatrixRunner:
         processes=None,
         warm_fork=True,
         capture_metrics=False,
-        shards=None,
     ):
         if processes is not None and processes < 1:
             raise MatrixError(
                 f"--processes must be >= 1, got {processes}"
             )
-        if shards is not None and shards < 1:
-            raise MatrixError(f"--shards must be >= 1, got {shards}")
         self.spec = spec
         self.processes = processes
-        #: Shard count for each variant's branch phase (None/1 = serial;
-        #: see :mod:`repro.cloud.sharding`).  Fingerprints are
-        #: shard-invariant, so pinned expectations hold at any count.
-        self.shards = shards
         self.warm_fork = warm_fork
         #: Trace every variant and record per-tenant probe-overhead
         #: metrics in each entry (outside the canonical JSON).
@@ -125,7 +122,7 @@ class MatrixRunner:
         }
         jobs = []
         for variant_id, variant in variants.items():
-            params = dict(variant.params, shards=self.shards or 1)
+            params = dict(variant.params)
             params["faults"] = build_fault_plan(
                 params.get("faults"), params.get("seed", 1701)
             )

@@ -67,7 +67,6 @@ def cmd_probes_score(args):
         sweeps=args.sweeps,
         file_pages=args.pages,
         wait_seconds=args.wait,
-        shards=getattr(args, "shards", None),
     )
     report = matrix.run()
     print(report.summary())
@@ -133,14 +132,6 @@ def add_probes_commands(subparsers):
     score.add_argument(
         "--attacks",
         help="comma-joined attack subset (default: all variants)",
-    )
-    score.add_argument(
-        "--shards",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="shard each leg's sweep phase across N worker processes "
-        "(report identical to serial; N must not exceed --hosts)",
     )
     score.add_argument(
         "--report-out", help="write the deterministic JSON report here"

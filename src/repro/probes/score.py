@@ -116,23 +116,6 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-class _LegDigest:
-    """Replica-divergence digest for one sharded score leg.
-
-    The shard runner hashes each replica's ``summary()`` at the fin
-    barrier; the monitor's deterministic report summaries are exactly
-    the surface the leg's cells derive from.
-    """
-
-    def __init__(self, monitor):
-        self.monitor = monitor
-
-    def summary(self):
-        return "\n".join(
-            report.summary() for report in self.monitor.reports
-        )
-
-
 class ScoreMatrix:
     """Runs the full probe×attack grid off one warmed fleet.
 
@@ -140,7 +123,8 @@ class ScoreMatrix:
     existing pin uses (seed 42, 12 tenants on 4 hosts, fleet budget
     file_pages=12 / wait_seconds=10), so the CloudSkulk column is
     directly comparable to the plain
-    :func:`~repro.cloud.fleet.run_fleet` campaign recall.
+    :func:`~repro.cloud.fleet.run_fleet` campaign recall.  Every leg
+    runs serially in this process.
     """
 
     def __init__(
@@ -162,7 +146,6 @@ class ScoreMatrix:
         wait_seconds=10.0,
         spy_lead_in_seconds=150.0,
         spy_payload=b"exfiltrate-keys!",
-        shards=1,
     ):
         from repro.probes.base import registered_probes
 
@@ -195,14 +178,6 @@ class ScoreMatrix:
         self.wait_seconds = wait_seconds
         self.spy_lead_in_seconds = spy_lead_in_seconds
         self.spy_payload = spy_payload
-        if shards is None:
-            shards = 1
-        if shards < 1:
-            raise ReproError(f"--shards must be >= 1, got {shards}")
-        #: Worker-process count for each leg's sweep phase
-        #: (:mod:`repro.cloud.sharding`); 1 = serial, and the report is
-        #: byte-identical either way.
-        self.shards = shards
 
     # -- attack legs ------------------------------------------------------
 
@@ -224,28 +199,6 @@ class ScoreMatrix:
             if tenant.guest is not None and tenant.guest.depth == 1
         ]
 
-    def _drive(self, datacenter, monitor, control_factory, name):
-        """Run one leg's control — serial, or sharded across workers.
-
-        The sharded path replicates the control plane per worker and
-        ghosts non-owned hosts' sweeps (:mod:`repro.cloud.sharding`);
-        the per-replica digest over the monitor's report summaries
-        catches any replica divergence at the fin barrier.
-        """
-        engine = datacenter.engine
-        if self.shards > 1:
-            from repro.cloud.sharding import run_control_sharded
-
-            run_control_sharded(
-                datacenter,
-                control_factory,
-                lambda: _LegDigest(monitor),
-                self.shards,
-                name=name,
-            )
-        else:
-            engine.run(engine.process(control_factory(), name=name))
-
     def _run_leg(self, attack, root):
         """Run one attack leg on a (forked or live) warm fleet root.
 
@@ -257,15 +210,8 @@ class ScoreMatrix:
         monitor = self._build_monitor(datacenter)
         truth = {}
 
-        def sweep_control():
-            result = yield monitor.run_periodic(max_sweeps=self.sweeps)
-            return result
-
         if attack == "clean":
-            if self.shards > 1:
-                self._drive(datacenter, monitor, sweep_control, "score-clean")
-            else:
-                engine.run(monitor.run_periodic(max_sweeps=self.sweeps))
+            engine.run(monitor.run_periodic(max_sweeps=self.sweeps))
 
         elif attack == "cloudskulk":
             campaign = AttackCampaign(datacenter, count=self.campaigns)
@@ -274,7 +220,7 @@ class ScoreMatrix:
                 yield from campaign.run()
                 yield monitor.run_periodic(max_sweeps=self.sweeps)
 
-            self._drive(datacenter, monitor, control, "score-cloudskulk")
+            engine.run(engine.process(control(), name="score-cloudskulk"))
             truth = {
                 event.tenant_name: event.installed_at
                 for event in campaign.events
@@ -298,12 +244,7 @@ class ScoreMatrix:
                 target.guest, [entry for entry in alive if entry != hidden]
             )
             truth = {target.name: engine.now}
-            if self.shards > 1:
-                self._drive(
-                    datacenter, monitor, sweep_control, "score-vmi"
-                )
-            else:
-                engine.run(monitor.run_periodic(max_sweeps=self.sweeps))
+            engine.run(monitor.run_periodic(max_sweeps=self.sweeps))
 
         elif attack == "dedup_spy":
             rng = datacenter.rng.stream("probes.dedup_spy")
@@ -339,7 +280,7 @@ class ScoreMatrix:
                 yield engine.timeout(self.spy_lead_in_seconds)
                 yield monitor.run_periodic(max_sweeps=self.sweeps)
 
-            self._drive(datacenter, monitor, control, "score-dedup-spy")
+            engine.run(engine.process(control(), name="score-dedup-spy"))
 
         else:  # pragma: no cover - guarded in __init__
             raise ReproError(f"unknown attack {attack!r}")

@@ -428,7 +428,7 @@ class Engine:
         self.faults = None
         #: Shard governor (:mod:`repro.sim.shard`), or None.  When a
         #: run is sharded across worker processes, the governor brakes
-        #: each step at the conservative-lookahead ceiling and injects
+        #: each step at the conservative ceiling and injects
         #: cross-shard ghost events; serial runs pay one attribute
         #: check per step.
         self.governor = None

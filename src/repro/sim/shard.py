@@ -1,7 +1,7 @@
-"""Conservative-lookahead shard synchronization for multi-process runs.
+"""Conservative shard synchronization for multi-process runs.
 
 One datacenter run is split across OS worker processes.  Each worker
-(*shard*) owns a rack-aligned group of hosts, runs its own
+(*shard*) owns a contiguous group of hosts, runs its own
 :class:`~repro.sim.engine.Engine` replica forward independently, and
 synchronizes virtual time with the classic conservative (null-message)
 protocol:
@@ -11,11 +11,11 @@ protocol:
   operation (its next local event time while it owns in-flight work,
   ``+inf`` otherwise);
 * a shard with outstanding remote operations only advances to a
-  **ceiling** derived from the owners' horizons (plus the lookahead)
-  and blocks on its pipes past it.  Because every cross-shard
-  operation is awaited alone or through an all-or-nothing barrier,
-  the ceiling is the *max* of the owners' horizons, not the textbook
-  min — see :meth:`ShardRuntime._ceiling` for the safety argument;
+  **ceiling** derived from the owners' horizons and blocks on its
+  pipes past it.  Because every cross-shard operation is awaited alone
+  or through an all-or-nothing barrier, the ceiling is the *max* of the
+  owners' horizons, not the textbook min — see
+  :meth:`ShardRuntime._ceiling` for the safety argument;
 * completed cross-shard operations travel as timestamped **messages**
   over pre-fork pipes and are merged into the local event heap
   deterministically — ordered by ``(timestamp, shard index, per-shard
@@ -23,14 +23,10 @@ protocol:
   their timestamp, so a ghost completion lands in the heap exactly
   where the serial engine would have scheduled the real one.
 
-The *lookahead* is the latency floor of the channel the messages model.
-For fabric-borne interactions (migration page streams between racks)
-that floor is the uplink latency
-(:data:`~repro.cloud.datacenter.FABRIC_LATENCY_S` — see
-:meth:`ShardPlan.from_datacenter`); for control-plane aggregations the
-serial engine treats as instantaneous (sweep reports, campaign install
-completions) it is pinned to ``0.0`` so sharded replay stays
-byte-identical to the serial heap.
+The ceiling adds no slack to the owners' horizons: the channels
+sharded (sweep reports, campaign install completions) are
+instantaneous in serial semantics, so any slack would let a replica's
+clock pass a completion it had not seen yet.
 
 Deadlock freedom is the textbook argument: before blocking, a shard
 broadcasts its current horizon; if two shards block on each other, the
@@ -79,18 +75,13 @@ class ShardPlan:
     """The host -> shard partition of one datacenter run.
 
     ``groups`` is a tuple of host-name tuples, one per shard, in shard
-    index order.  Groups are rack-aligned whenever the requested shard
-    count allows whole racks to stay together; asking for more shards
-    than racks splits racks along sorted host-name boundaries instead.
+    index order.
     """
 
-    def __init__(self, groups, lookahead=0.0):
+    def __init__(self, groups):
         self.groups = tuple(tuple(group) for group in groups)
         if not self.groups or any(not group for group in self.groups):
             raise ShardError("every shard group needs at least one host")
-        #: Latency floor for fabric-borne cross-shard channels; control
-        #: plane aggregation channels run at zero (see module docs).
-        self.lookahead = lookahead
         self._owner = {}
         for index, group in enumerate(self.groups):
             for host_name in group:
@@ -109,66 +100,22 @@ class ShardPlan:
             raise ShardError(f"host {host_name!r} is in no shard group") from None
 
     @classmethod
-    def rack_aligned(cls, host_racks, shards, lookahead=0.0):
-        """Partition ``[(host_name, rack), ...]`` into ``shards`` groups.
-
-        Hosts are taken in sorted-name order.  When ``shards`` does not
-        exceed the rack count, whole racks are kept together and dealt
-        into contiguous, size-balanced groups; otherwise racks split and
-        the sorted host list is cut into near-equal contiguous chunks.
-        """
-        pairs = sorted(host_racks)
+    def contiguous(cls, host_names, shards):
+        """Cut the sorted ``host_names`` into ``shards`` contiguous
+        groups whose sizes differ by at most one."""
+        names = sorted(host_names)
         if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ShardError(f"--shards must be a positive integer, got {shards!r}")
-        if shards > len(pairs):
+            raise ShardError(f"shards must be a positive integer, got {shards!r}")
+        total = len(names)
+        if shards > total:
             raise ShardError(
-                f"--shards {shards} exceeds the fleet's {len(pairs)} host(s); "
+                f"shards={shards} exceeds the fleet's {total} host(s); "
                 "each shard needs at least one host"
             )
-        racks = []  # [(rack, [host, ...])] in first-appearance (sorted-host) order
-        for host_name, rack in pairs:
-            if racks and racks[-1][0] == rack:
-                racks[-1][1].append(host_name)
-            else:
-                racks.append((rack, [host_name]))
-        if shards > len(racks):
-            names = [host_name for host_name, _rack in pairs]
-            total = len(names)
-            groups = [
-                names[(index * total) // shards : ((index + 1) * total) // shards]
-                for index in range(shards)
-            ]
-            return cls(groups, lookahead=lookahead)
-        groups = []
-        rack_cursor = 0
-        hosts_left = len(pairs)
-        for remaining in range(shards, 0, -1):
-            group = []
-            # Leave at least one rack for every group still to come.
-            while rack_cursor < len(racks) - (remaining - 1):
-                block = racks[rack_cursor][1]
-                if group and len(group) + len(block) > hosts_left / remaining:
-                    break
-                group.extend(block)
-                rack_cursor += 1
-            groups.append(group)
-            hosts_left -= len(group)
-        return cls(groups, lookahead=lookahead)
-
-    @classmethod
-    def from_datacenter(cls, datacenter, shards):
-        """Rack-aligned plan over a datacenter's host inventory.
-
-        Derives the fabric lookahead from the uplink latency every
-        cross-rack message would pay (the fleet's links are uniform —
-        :data:`~repro.cloud.datacenter.FABRIC_LATENCY_S`).
-        """
-        from repro.cloud.datacenter import FABRIC_LATENCY_S
-
-        host_racks = [
-            (name, host.spec.rack) for name, host in datacenter.hosts.items()
-        ]
-        return cls.rack_aligned(host_racks, shards, lookahead=FABRIC_LATENCY_S)
+        return cls(
+            names[index * total // shards : (index + 1) * total // shards]
+            for index in range(shards)
+        )
 
     def __repr__(self):
         sizes = ",".join(str(len(group)) for group in self.groups)
@@ -244,11 +191,10 @@ class ShardRuntime:
       next local event lies beyond the ceiling (:meth:`_ceiling`).
     """
 
-    def __init__(self, engine, index, conns, lookahead=0.0):
+    def __init__(self, engine, index, conns):
         self.engine = engine
         self.index = index
         self.conns = dict(conns)
-        self.lookahead = lookahead
         now = engine.now
         self._hz = {peer: now for peer in self.conns}
         self._outstanding = {}  # key -> (Event, owner shard index)
@@ -260,7 +206,6 @@ class ShardRuntime:
         self._fins = {}  # peer -> digest
         self._fin_extras = {}  # peer -> stats dict sent with the fin
         self._dead = set()  # peers whose pipes hit EOF after their fin
-        self._payloads = {}  # peer -> out-of-band payload (trace merge)
         # One persistent poller for the whole mesh.  The stdlib's
         # Connection.poll / connection.wait build a fresh selector per
         # call — at null-message cadence that is hundreds of thousands
@@ -453,8 +398,8 @@ class ShardRuntime:
     def _ceiling(self):
         """Highest virtual time this shard may advance to while blocked.
 
-        The textbook conservative bound is ``min(owner horizons) +
-        lookahead`` — safe for arbitrary message consumers.  The cloud
+        The textbook conservative bound is ``min(owner horizons)`` —
+        safe for arbitrary message consumers.  The cloud
         seams obey a stronger contract that licenses ``max``: every
         remote operation is awaited either alone or through an
         all-or-nothing barrier (``engine.all_of``), and control cannot
@@ -464,17 +409,13 @@ class ShardRuntime:
         its enqueue delay to "now".  The completion that actually
         resumes control carries the barrier's max timestamp, which is
         >= every owner horizon, so popping local events up to
-        ``max(owner horizons) + lookahead`` can never run past a
-        resumption.  (With one outstanding op the two rules coincide.)
+        ``max(owner horizons)`` can never run past a resumption.  (With one outstanding op the two rules coincide.)
         A seam that waits on one of several registered ghosts
         *selectively* would break this contract — none does; the
         differential pins would catch it as divergence.
         """
         hz = self._hz
-        return (
-            max(hz[owner] for _event, owner in self._outstanding.values())
-            + self.lookahead
-        )
+        return max(hz[owner] for _event, owner in self._outstanding.values())
 
     def _inject_ready(self):
         """Merge buffered completions into the local heap, in order.
@@ -537,8 +478,8 @@ class ShardRuntime:
         completion).  Crucially it is *not* min-ed with the ceiling:
         echoing ``min(local bound, hz[peer])`` back at the peer freezes
         both horizons at whatever stale value they last exchanged, and
-        with zero lookahead neither side ever moves — the textbook
-        null-message feedback deadlock.
+        with no slack above the horizons neither side ever moves — the
+        textbook null-message feedback deadlock.
 
         With nothing owned but remotes outstanding, a ghost injection
         could resume control (and trigger an inline begin+complete) as
@@ -653,9 +594,6 @@ class ShardRuntime:
             self._fins[sender] = digest
             self._fin_extras[sender] = extra
             self._hz[sender] = _INF
-        elif kind == "payload":
-            _kind, sender, payload = message
-            self._payloads[sender] = payload
         elif kind == "fail":
             _kind, sender, text = message
             raise ShardError(
@@ -665,12 +603,6 @@ class ShardRuntime:
             raise ShardError(f"unknown shard message kind {kind!r}")
 
     # -- teardown ----------------------------------------------------------
-
-    def send_payload(self, payload):
-        """Ship an out-of-band payload (trace merge data) to shard 0."""
-        if 0 in self.conns:
-            self.conns[0].send(("payload", self.index, payload))
-            self.messages_sent += 1
 
     def announce_failure(self, text):
         """Best-effort death notice so peers fail fast, not on timeout."""

@@ -72,6 +72,19 @@ def test_fleet_sweep_command(capsys):
     assert "recall: 1.00" in out
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["--seed", "42", "fleet", "sweep"], 42),
+        (["fleet", "sweep", "--seed", "42"], 42),
+        (["fleet", "sweep"], 1701),
+        (["--seed", "7", "fleet", "chaos"], 7),
+    ],
+)
+def test_fleet_seed_before_or_after_subcommand(argv, seed):
+    assert build_parser().parse_args(argv).seed == seed
+
+
 def test_fleet_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fleet"])

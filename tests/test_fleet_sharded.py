@@ -8,14 +8,16 @@ final inventory.  The edge cases target the protocol's hairiest seams:
 
 * a CloudSkulk install whose victim host belongs to a *non-reporting*
   shard — the nested-VM migration is in flight on the owner while every
-  other replica waits at the install ghost's lookahead horizon;
+  other replica waits at the install ghost's horizon;
 * an uplink partition fired mid-sweep on a host another shard owns —
   fault interrupts land while cross-shard sweep publishes are open;
-* the trace-merge invariants of a sharded traced run;
-* ``--shards`` validation (positive int, shards <= hosts).
+* a traced sharded run, refused before any worker forks;
+* ``shards`` validation (positive int, shards <= hosts).
 
 Protocol-level timing cases live in ``test_shard_protocol.py``.
 """
+
+import os
 
 import pytest
 
@@ -52,13 +54,7 @@ def test_cross_boundary_install_migration():
     # boundary case; the ghost count proves the wait actually crossed.
     serial = run_fleet(**FLEET_4X12)
     victim_host = serial.campaign.events[0].host_name
-    plan = ShardPlan.rack_aligned(
-        [
-            (name, host.spec.rack)
-            for name, host in serial.datacenter.hosts.items()
-        ],
-        2,
-    )
+    plan = ShardPlan.contiguous(serial.datacenter.hosts, 2)
     assert plan.owner_of(victim_host) != 0, (
         "seed drifted: the victim must live on a non-reporting shard "
         "for this test to exercise the cross-boundary install"
@@ -111,37 +107,15 @@ def test_warm_fork_branches_sharded_and_serial_agree():
         assert fleet_fingerprint(sharded) == fleet_fingerprint(serial)
 
 
-def test_sharded_trace_merge_invariants():
-    params = dict(FLEET_4X12, trace=True)
-    serial = run_fleet(**params)
-    sharded = run_fleet(shards=2, **params)
+def test_traced_sharded_run_raises_before_forking(monkeypatch):
+    # Each worker would hold only its own hosts' trace rows, so a traced
+    # branch is refused before any worker (and so any child) exists.
+    def no_fork():
+        raise AssertionError("a traced sharded branch forked a worker")
 
-    def rows_by_track(result, prefixes):
-        rows = {}
-        for event in result.tracer.events():
-            track = event[3]
-            if isinstance(track, str) and track.split(":")[0] in prefixes:
-                # kind, name, cat, track, ts, dur — args excluded: rows
-                # embedding engine-global counter snapshots report each
-                # shard's local view (documented in INTERNALS §14).
-                rows.setdefault(track, []).append(event[:6])
-        return rows
-
-    # Host-scoped rows are owner-authoritative: the merged trace must
-    # carry every host's stream with serial-identical timing.
-    serial_rows = rows_by_track(serial, {"host", "ksm"})
-    sharded_rows = rows_by_track(sharded, {"host", "ksm"})
-    assert set(sharded_rows) == set(serial_rows)
-    for track in serial_rows:
-        assert sorted(sharded_rows[track]) == sorted(serial_rows[track]), track
-
-    # Emission-time ordering: the merged buffer must be sorted by the
-    # time each row was appended (ts, or ts+dur for duration spans).
-    def emission_key(event):
-        return event[4] + (event[5] if event[0] == "X" else 0.0)
-
-    keys = [emission_key(event) for event in sharded.tracer.events()]
-    assert keys == sorted(keys)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ShardError, match="tracing a sharded branch"):
+        run_fleet(shards=2, trace=True, **FLEET_4X12)
 
 
 def test_more_shards_than_hosts_raises():

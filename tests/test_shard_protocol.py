@@ -5,10 +5,9 @@ These run real :class:`ShardRuntime` meshes — every replica its own
 the conservative-sync edge cases are exercised without the cost (or
 nondeterminism surface) of a whole fleet:
 
-* a cross-shard completion landing exactly at the lookahead horizon
-  (the migration-in-flight case) replays byte-identically to the
-  serial interleaving;
-* the zero-lookahead degenerate config neither deadlocks nor reorders;
+* a cross-shard completion with local events just before, at and
+  after its timestamp (the migration-in-flight case) neither deadlocks
+  nor reorders against the serial interleaving;
 * the horizon promise guard, self/unknown-owner misuse, peer death and
   error transport all fail loudly.
 
@@ -49,7 +48,7 @@ def mesh_conns(count):
     return conns
 
 
-def run_mesh(replicas, lookahead=0.0):
+def run_mesh(replicas):
     """Run one callable per shard in its own thread; returns results.
 
     Each replica callable receives ``(engine, runtime)`` with the
@@ -62,9 +61,7 @@ def run_mesh(replicas, lookahead=0.0):
 
     def worker(index, replica):
         engine = Engine()
-        runtime = ShardRuntime(
-            engine, index, conns[index], lookahead=lookahead
-        )
+        runtime = ShardRuntime(engine, index, conns[index])
         runtime.recv_timeout = TEST_RECV_TIMEOUT
         engine.governor = runtime
         try:
@@ -161,28 +158,10 @@ def serial_reference(complete_at, local_times, value="page-stream-done"):
 
 
 class TestCrossShardCompletion:
-    def test_completion_at_lookahead_horizon_matches_serial(self):
-        # The waiter has local events just before, exactly at, and past
-        # the lookahead horizon of the in-flight remote operation
-        # (complete_at + lookahead) — the boundary the conservative
-        # ceiling must not let it cross early.
-        complete_at, lookahead = 5.0, 0.25
-        local_times = [4.9, complete_at, complete_at + lookahead, 5.5]
-        owner_log, waiter_log = [], []
-        run_mesh(
-            [
-                owner_replica(owner_log, complete_at),
-                waiter_replica(waiter_log, local_times),
-            ],
-            lookahead=lookahead,
-        )
-        assert waiter_log == serial_reference(complete_at, local_times)
-        assert ("owner-done", complete_at) in owner_log
-
     def test_zero_lookahead_degenerate_matches_serial(self):
-        # lookahead=0.0 is the fleet configuration: the ceiling gives no
-        # slack at all, so the ghost must land exactly at its timestamp
-        # with same-time local events ordered as the serial heap would.
+        # The ceiling adds no slack to the owner's horizon, so the ghost
+        # must land exactly at its timestamp with same-time local events
+        # ordered as the serial heap would.
         complete_at = 3.0
         local_times = [2.5, complete_at, 3.5]
         owner_log, waiter_log = [], []
@@ -190,10 +169,10 @@ class TestCrossShardCompletion:
             [
                 owner_replica(owner_log, complete_at),
                 waiter_replica(waiter_log, local_times),
-            ],
-            lookahead=0.0,
+            ]
         )
         assert waiter_log == serial_reference(complete_at, local_times)
+        assert ("owner-done", complete_at) in owner_log
 
     def test_error_completion_rebuilds_peer_exception(self):
         def owner(engine, runtime):
@@ -294,22 +273,29 @@ class TestFailureModes:
 
 
 class TestShardPlan:
-    def test_rack_aligned_keeps_racks_together(self):
-        host_racks = [(f"h{i:02d}", f"r{i // 4}") for i in range(16)]
-        plan = ShardPlan.rack_aligned(host_racks, 4)
+    def test_contiguous_cuts_sorted_names(self):
+        names = [f"h{i:02d}" for i in reversed(range(16))]
+        plan = ShardPlan.contiguous(names, 4)
         assert plan.shards == 4
-        assert all(len(group) == 4 for group in plan.groups)
-        for group in plan.groups:
-            racks = {dict(host_racks)[name] for name in group}
-            assert len(racks) == 1
+        assert plan.groups == tuple(
+            tuple(f"h{i:02d}" for i in range(start, start + 4))
+            for start in (0, 4, 8, 12)
+        )
 
-    def test_more_shards_than_racks_splits_evenly(self):
-        host_racks = [(f"h{i}", "r0") for i in range(6)]
-        plan = ShardPlan.rack_aligned(host_racks, 3)
-        assert [len(group) for group in plan.groups] == [2, 2, 2]
+    @pytest.mark.parametrize(
+        "hosts, shards, sizes",
+        [(12, 2, [6, 6]), (5, 2, [2, 3]), (6, 3, [2, 2, 2]), (7, 7, [1] * 7)],
+        ids=["12-hosts-2-shards", "5-hosts-2-shards", "6-hosts-3-shards",
+             "one-host-per-shard"],
+    )
+    def test_contiguous_cut_is_balanced(self, hosts, shards, sizes):
+        # 12 hosts sit in racks of 4: the cut ignores racks, so two
+        # shards get six hosts each rather than one and two racks.
+        plan = ShardPlan.contiguous([f"h{i:02d}" for i in range(hosts)], shards)
+        assert [len(group) for group in plan.groups] == sizes
 
     def test_owner_of_unknown_host_raises(self):
-        plan = ShardPlan.rack_aligned([("h0", "r0"), ("h1", "r0")], 2)
+        plan = ShardPlan.contiguous(["h0", "h1"], 2)
         assert plan.owner_of("h0") == 0
         assert plan.owner_of("h1") == 1
         with pytest.raises(ShardError, match="in no shard group"):
@@ -318,12 +304,14 @@ class TestShardPlan:
     @pytest.mark.parametrize("shards", [0, -1, True, 1.5, "2"])
     def test_non_positive_int_shards_rejected(self, shards):
         with pytest.raises(ShardError, match="positive integer"):
-            ShardPlan.rack_aligned([("h0", "r0")], shards)
+            ShardPlan.contiguous(["h0"], shards)
 
     def test_more_shards_than_hosts_rejected(self):
         with pytest.raises(ShardError, match="exceeds the fleet's 2 host"):
-            ShardPlan.rack_aligned([("h0", "r0"), ("h1", "r0")], 3)
+            ShardPlan.contiguous(["h0", "h1"], 3)
 
     def test_duplicate_host_rejected(self):
         with pytest.raises(ShardError, match="two shard groups"):
             ShardPlan([("h0",), ("h0",)])
+        with pytest.raises(ShardError, match="two shard groups"):
+            ShardPlan.contiguous(["h0", "h1", "h0"], 2)
