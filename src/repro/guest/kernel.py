@@ -92,6 +92,10 @@ class Kernel:
         self._syscall_cache = {}
         self._syscall_cache_cm = None
         self._jitter_streams = {}
+        # Per-op syscall plans (see syscall_costs): names tuple -> plan,
+        # valid while the inputs in _plan_key stay the same.
+        self._plans = {}
+        self._plan_key = None
 
     # ------------------------------------------------------------------
     # cost primitives
@@ -112,13 +116,19 @@ class Kernel:
             return cost / (1.0 - self.cpu_throttle)
         return cost
 
+    def _jitter_stream(self, label):
+        rng = self._jitter_streams.get(label)
+        if rng is None:
+            rng = self.system.rng.stream(f"{self.system.name}:{label}")
+            self._jitter_streams[label] = rng
+        return rng
+
     def _jitter(self, cost, label):
         if self.jitter_rsd <= 0:
             return cost
         rng = self._jitter_streams.get(label)
         if rng is None:
-            rng = self.system.rng.stream(f"{self.system.name}:{label}")
-            self._jitter_streams[label] = rng
+            rng = self._jitter_stream(label)
         # Same math as RngRegistry.gauss_jitter, minus the per-call
         # stream lookup: one N(cost, rsd*cost) sample floored at 10%.
         sample = rng.gauss(cost, abs(self.jitter_rsd * cost))
@@ -129,26 +139,6 @@ class Kernel:
         handle = self.system.vm_handle
         if handle is not None:
             handle.record_exit(reason, count)
-
-    def _record_trampoline(self, reason, count):
-        """Attribute the Turtles trampoline where it really executes.
-
-        When a depth>=2 guest exits, the privileged instructions that
-        handle the reflection run in the *L1 parent* — so the parent's
-        VM accumulates PRIV_INSTRUCTION exits in the host's counters.
-        That attribution is kernel ground truth an attacker cannot
-        scrub, and the exit-census detector feeds on it.
-        """
-        if self.depth < 2 or self.system.parent is None:
-            return
-        parent_handle = self.system.parent.vm_handle
-        if parent_handle is None:
-            return
-        ops = self._cost_model.nested_priv_ops.get(reason, 0)
-        if ops:
-            parent_handle.record_exit(
-                ExitReason.PRIV_INSTRUCTION, count * ops
-            )
 
     def charge_cpu(self, seconds, mem_intensity=0.5, jitter=True):
         """Cost of ``seconds`` of userspace CPU work at this depth.
@@ -175,6 +165,13 @@ class Kernel:
         of PRIV_INSTRUCTION exits the L1 parent absorbs (0 below depth
         2).  The additions happen in the same order as the original
         per-call computation, so the cached scalar is bit-identical.
+
+        Why the parent absorbs them: when a depth>=2 guest exits, the
+        privileged instructions that handle the Turtles reflection run
+        in the *L1 parent*, so the parent's VM accumulates
+        PRIV_INSTRUCTION exits in the host's counters.  That attribution
+        is kernel ground truth an attacker cannot scrub, and the
+        exit-census detector feeds on it.
         """
         profile = SYSCALL_PROFILES.get(name)
         if profile is None:
@@ -197,18 +194,22 @@ class Kernel:
                     records.append((reason, n, n * ops))
         return cost, tuple(records), f"sys:{name}"
 
-    def syscall_cost(self, name, jitter=True):
-        """Cost of one syscall described by its profile."""
-        cm = self.system.cost_model
+    def _syscall_entry(self, name, cm, depth):
+        """The cached :meth:`_build_syscall_entry` result for ``name``."""
         if cm is not self._syscall_cache_cm:
             self._syscall_cache_cm = cm
             self._syscall_cache = {}
-        depth = self.depth
         entry = self._syscall_cache.get((name, depth))
         if entry is None:
             entry = self._build_syscall_entry(name, depth)
             self._syscall_cache[(name, depth)] = entry
-        cost, records, label = entry
+        return entry
+
+    def syscall_cost(self, name, jitter=True):
+        """Cost of one syscall described by its profile."""
+        cm = self.system.cost_model
+        depth = self.depth
+        cost, records, label = self._syscall_entry(name, cm, depth)
         if records:
             system = self.system
             handle = system.vm_handle
@@ -220,7 +221,7 @@ class Kernel:
                     handle.record_exit(reason, n)
                 if trampoline and parent_handle is not None:
                     # The Turtles reflection runs in the L1 parent — see
-                    # _record_trampoline for the attribution rationale.
+                    # _build_syscall_entry for the attribution rationale.
                     parent_handle.record_exit(
                         ExitReason.PRIV_INSTRUCTION, trampoline
                     )
@@ -235,6 +236,100 @@ class Kernel:
         if jitter:
             cost = self._jitter(cost, label)
         return self._throttled(cost)
+
+    def syscall_costs(self, names):
+        """Costs of the syscalls in the tuple ``names``, in call order.
+
+        Equal bit for bit, side effects included, to
+        ``[self.syscall_cost(name) for name in names]``: a workload
+        charges one operation's syscalls with one call.  The first call
+        for a tuple compiles it into a plan (:meth:`_compile_plan`)
+        that later calls replay.  A plan is a function of the cost
+        model, the depth, ``vm_handle``, the parent's ``vm_handle``,
+        ``jitter_rsd`` and ``extra_op_latency``, so every plan is
+        dropped when one of them changes (a CloudSkulk install moves a
+        running guest from an L0 VM into an L2 VM).
+
+        A tap, a CPU throttle, ``jitter_rsd <= 0`` or a tracer enabled
+        on a VM the syscalls record exits into takes the per-syscall path
+        instead: taps must fire once per syscall in order, and the
+        tracer's exit sampler must see every recording.
+        """
+        if self.syscall_taps or self.cpu_throttle or self.jitter_rsd <= 0:
+            return [self.syscall_cost(name) for name in names]
+        system = self.system
+        depth = system.depth
+        parent = system.parent
+        key = (
+            system.cost_model,
+            depth,
+            system.vm_handle,
+            parent.vm_handle if depth >= 2 and parent is not None else None,
+            self.jitter_rsd,
+            self.extra_op_latency,
+        )
+        if key != self._plan_key:
+            self._plans = {}
+            self._plan_key = key
+        plan = self._plans.get(names)
+        if plan is None:
+            plan = self._plans[names] = self._compile_plan(names, key)
+        steps, records, tracers = plan
+        for tracer in tracers:
+            if tracer.enabled:
+                return [self.syscall_cost(name) for name in names]
+        for counts, reason, count in records:
+            counts[reason] = counts.get(reason, 0.0) + count
+        costs = []
+        for gauss, mean, sigma, floor in steps:
+            sample = gauss(mean, sigma)
+            costs.append(sample if sample >= floor else floor)
+        return costs
+
+    def _compile_plan(self, names, key):
+        """Compile ``names`` into ``(steps, records, tracers)`` for ``key``.
+
+        ``steps`` holds, per syscall, the jitter stream's ``gauss`` and
+        the mean, sigma and floor :meth:`syscall_cost` hands it: the
+        cached base cost plus ``extra_op_latency``, computed as that
+        path computes them.  ``records`` holds every exit recording the
+        per-syscall path makes for the sequence, in its order, as
+        ``(exit_counts, reason, count)`` against the vCPU-0 VMCS dict
+        ``KvmVm.record_exit`` bumps; the parent's PRIV_INSTRUCTION
+        trampoline records sit right after the record that causes them.
+        Replaying them in that order adds the float counts exactly as
+        the per-syscall path does.  ``tracers`` are the tracers of the
+        VMs the syscalls can record exits into.
+        """
+        cm, depth, handle, parent_handle, rsd, extra = key
+        steps = []
+        records = []
+        for name in names:
+            base, entry_records, label = self._syscall_entry(name, cm, depth)
+            mean = base + extra
+            steps.append(
+                (
+                    self._jitter_stream(label).gauss,
+                    mean,
+                    abs(rsd * mean),
+                    0.1 * abs(mean),
+                )
+            )
+            for reason, count, trampoline in entry_records:
+                if handle is not None:
+                    records.append((handle.vmcs[0].exit_counts, reason, count))
+                if trampoline and parent_handle is not None:
+                    records.append(
+                        (
+                            parent_handle.vmcs[0].exit_counts,
+                            ExitReason.PRIV_INSTRUCTION,
+                            trampoline,
+                        )
+                    )
+        tracers = dict.fromkeys(
+            vm._tracer for vm in (handle, parent_handle) if vm is not None
+        )
+        return tuple(steps), tuple(records), tuple(tracers)
 
     def charge_syscalls(self, name, times=1):
         """Cost of ``times`` identical syscalls (jitter applied once)."""

@@ -16,6 +16,18 @@ PAGES_PER_FILE = 16
 FRESH_DIRTY_PAGES_PER_OP = 1
 #: Fraction of operations that force a journal commit.
 FSYNC_RATE = 0.06
+#: The syscalls of one op, in call order, charged with one
+#: ``Kernel.syscall_costs`` call: create, append (per page), submit the
+#: write; read another file (per page), submit the read; stat; delete.
+FILEBENCH_OP = (
+    "creat_meta",
+    "page_cache_write",
+    "block_io_submit",
+    "page_cache_read",
+    "block_io_submit",
+    "stat",
+    "unlink_meta",
+)
 
 
 class FilebenchWorkload(Workload):
@@ -58,19 +70,24 @@ class FilebenchWorkload(Workload):
                 and system.engine.now >= self._r_deadline
             ):
                 break
-            cost = kernel.syscall_cost("creat_meta")
-            cost += kernel.charge_syscalls("page_cache_write", PAGES_PER_FILE)
-            cost += kernel.syscall_cost("block_io_submit")
+            creat, append, submit_write, read, submit_read, stat, unlink = (
+                kernel.syscall_costs(FILEBENCH_OP)
+            )
+            # Summed in issue order, device time in between: the float
+            # total must equal charging each syscall with syscall_cost.
+            cost = creat
+            cost += append * PAGES_PER_FILE
+            cost += submit_write
             if device is not None:
                 cost += device.write(PAGES_PER_FILE)
             system.memory.dirty_bulk(FRESH_DIRTY_PAGES_PER_OP)
             # Read a previously written file.
-            cost += kernel.charge_syscalls("page_cache_read", PAGES_PER_FILE)
-            cost += kernel.syscall_cost("block_io_submit")
+            cost += read * PAGES_PER_FILE
+            cost += submit_read
             if device is not None:
                 cost += device.read(PAGES_PER_FILE)
-            cost += kernel.syscall_cost("stat")
-            cost += kernel.syscall_cost("unlink_meta")
+            cost += stat
+            cost += unlink
             if rng.random() < FSYNC_RATE:
                 cost += kernel.syscall_cost("fsync_journal")
                 if device is not None:
