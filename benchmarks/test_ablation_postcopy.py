@@ -11,7 +11,6 @@ import pytest
 
 from repro import scenarios
 from repro.analysis.report import render_table
-from repro.migration.postcopy import PostCopyDestination, PostCopyMigration
 from repro.qemu.config import DriveSpec
 from repro.qemu.qemu_img import qemu_img_create
 from repro.qemu.vm import launch_vm
@@ -19,7 +18,9 @@ from repro.workloads.idle import IdleWorkload
 from repro.workloads.kernel_compile import KernelCompileWorkload
 
 
-def _precopy(workload_name, seed):
+def _migrate(workload_name, seed, capabilities):
+    """Migrate a loaded victim into a same-host ``-incoming`` QEMU via
+    the source's monitor; ``capabilities`` picks the mode."""
     host = scenarios.testbed(seed=seed)
     vm = scenarios.launch_victim(host)
     workload = _start_workload(workload_name, vm)
@@ -29,31 +30,13 @@ def _precopy(workload_name, seed):
     )
     config.drives = [DriveSpec("/var/lib/images/dest.qcow2")]
     launch_vm(host, config)
+    for capability in capabilities:
+        vm.monitor.execute(f"migrate_set_capability {capability} on")
     vm.monitor.execute("migrate -d tcp:127.0.0.1:4444")
     host.engine.run(vm.migration_process)
     workload.stop()
     stats = vm.migration_stats
     return stats.total_time, stats.downtime
-
-
-def _postcopy(workload_name, seed):
-    host = scenarios.testbed(seed=seed)
-    vm = scenarios.launch_victim(host)
-    workload = _start_workload(workload_name, vm)
-    qemu_img_create(host, "/var/lib/images/pcdest.qcow2", 20)
-    config = vm.config.clone_for_destination(
-        "pcdest", incoming_port=None, keep_hostfwds=False
-    )
-    config.drives = [DriveSpec("/var/lib/images/pcdest.qcow2")]
-    dest, _ = launch_vm(host, config)
-    dest.guest = None
-    dest.status = "inmigrate"
-    dest.pause()
-    PostCopyDestination(dest, 4600).start()
-    migration = PostCopyMigration(vm, destination_port=4600)
-    host.engine.run(migration.start())
-    workload.stop()
-    return migration.stats.total_time, migration.stats.downtime
 
 
 def _start_workload(name, vm):
@@ -70,9 +53,9 @@ def _start_workload(name, vm):
 def test_ablation_precopy_vs_postcopy(benchmark):
     def run_all():
         out = {}
-        for mode, fn in (("pre-copy", _precopy), ("post-copy", _postcopy)):
+        for mode, capabilities in (("pre-copy", ()), ("post-copy", ("postcopy-ram",))):
             for workload in ("idle", "compile"):
-                out[(mode, workload)] = fn(workload, 101)
+                out[(mode, workload)] = _migrate(workload, 101, capabilities)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -11,7 +11,6 @@ Run:  python examples/migration_study.py
 
 from repro import scenarios
 from repro.analysis.report import render_table
-from repro.migration.postcopy import PostCopyDestination, PostCopyMigration
 from repro.qemu.config import DriveSpec
 from repro.qemu.qemu_img import qemu_img_create
 from repro.qemu.vm import launch_vm
@@ -33,7 +32,10 @@ def start_workload(name, vm):
     return workload
 
 
-def migrate_l0_l0(name, seed=11):
+def migrate_l0_l0(name, seed=11, capabilities=()):
+    """Same-host migration into an ``-incoming`` QEMU, driven from the
+    source's monitor; ``capabilities`` (e.g. ``postcopy-ram``) are
+    switched on first."""
     host = scenarios.testbed(seed=seed)
     vm = scenarios.launch_victim(host)
     workload = start_workload(name, vm)
@@ -43,6 +45,8 @@ def migrate_l0_l0(name, seed=11):
     )
     config.drives = [DriveSpec("/var/lib/images/dest.qcow2")]
     launch_vm(host, config)
+    for capability in capabilities:
+        vm.monitor.execute(f"migrate_set_capability {capability} on")
     vm.monitor.execute("migrate -d tcp:127.0.0.1:4444")
     host.engine.run(vm.migration_process)
     workload.stop()
@@ -56,26 +60,6 @@ def migrate_l0_l1(name, seed=11):
     report = scenarios.install_cloudskulk(host)
     workload.stop()
     return report
-
-
-def postcopy_compile(seed=11):
-    host = scenarios.testbed(seed=seed)
-    vm = scenarios.launch_victim(host)
-    workload = start_workload("kernel-compile", vm)
-    qemu_img_create(host, "/var/lib/images/pc.qcow2", 20)
-    config = vm.config.clone_for_destination(
-        "pcdest", incoming_port=None, keep_hostfwds=False
-    )
-    config.drives = [DriveSpec("/var/lib/images/pc.qcow2")]
-    dest, _ = launch_vm(host, config)
-    dest.guest = None
-    dest.status = "inmigrate"
-    dest.pause()
-    PostCopyDestination(dest, 4600).start()
-    migration = PostCopyMigration(vm, destination_port=4600)
-    host.engine.run(migration.start())
-    workload.stop()
-    return migration.stats
 
 
 def main():
@@ -108,7 +92,7 @@ def main():
     print("paper anchors (L0-L1): idle ~26s, filebench ~29s, compile ~820s")
 
     print("\n== Ablation: post-copy under the compile workload ==")
-    stats = postcopy_compile()
+    stats = migrate_l0_l0("kernel-compile", capabilities=("postcopy-ram",))
     print(f"   post-copy total {stats.total_time:.1f}s, "
           f"downtime {stats.downtime * 1000:.0f}ms")
     print("   (pre-copy needed auto-converge throttling and minutes; "

@@ -205,20 +205,12 @@ class MigrationOrchestrator:
         return vm, incoming_port
 
     def _build_source(self, source_vm, dest_host, incoming_port, mode):
-        dest_node = dest_host.system.net_node
-        if mode == "postcopy":
-            return PostCopyMigration(
-                source_vm,
-                destination_port=incoming_port,
-                max_bandwidth=self.max_bandwidth,
-                destination_node=dest_node,
-            )
-        return PreCopyMigration(
+        source = PostCopyMigration if mode == "postcopy" else PreCopyMigration
+        return source(
             source_vm,
-            destination_host=dest_host.name,
             destination_port=incoming_port,
             max_bandwidth=self.max_bandwidth,
-            destination_node=dest_node,
+            destination_node=dest_host.system.net_node,
         )
 
     def _degrade_to_destination(

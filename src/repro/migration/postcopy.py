@@ -13,75 +13,27 @@ the price of degraded guest performance during the fill.
 """
 
 from repro.errors import MigrationError
-from repro.migration.precopy import SCAN_COST_PER_PAGE
-from repro.migration.stats import MigrationStats
-from repro.migration.transport import (
-    ACK_BYTES,
-    Ack,
-    DeviceState,
-    RamChunk,
-    dedup_entries,
-)
+from repro.migration.precopy import MigrationSource
+from repro.migration.transport import DeviceState, PostCopyDone, PostCopyHandoff
 from repro.net.packets import Packet
 
-#: Round-trip latency of one remote page fault (userfaultfd + network).
-REMOTE_FAULT_RTT = 3.5e-4
-#: Fraction of guest operations that touch a not-yet-resident page when
-#: residency is zero (working-set locality keeps this well under 1).
-FAULT_TOUCH_RATE = 0.18
-DEFAULT_POSTCOPY_BANDWIDTH = 32 * 1024 * 1024
-CHUNK_PAGES = 1024
 
-
-class PostCopyHandoff:
-    """Control message: switch over now, pages to follow."""
-
-    __slots__ = ("guest_system", "alloc_floor", "total_pages")
-
-    def __init__(self, guest_system, alloc_floor, total_pages):
-        self.guest_system = guest_system
-        self.alloc_floor = alloc_floor
-        self.total_pages = total_pages
-
-
-class PostCopyDone:
-    """Control message: every page is resident."""
-
-    __slots__ = ()
-
-
-class PostCopyMigration:
+class PostCopyMigration(MigrationSource):
     """Source side of a post-copy migration.
 
-    The destination must be a :class:`PostCopyDestination` (launch the
-    incoming VM with ``start_incoming=False`` and attach one, or use
-    :func:`repro.core.rootkit.installer` helpers that pick the right
-    mode).
+    The destination is the same :class:`MigrationDestination` a
+    pre-copy stream targets (a VM launched with ``incoming_port=``): the
+    stream opening with device state tells it which mode it receives.
+    From the monitor, ``migrate_set_capability postcopy-ram on`` selects
+    this class for the next ``migrate``.
     """
 
-    def __init__(
-        self, vm, destination_port, max_bandwidth=None, destination_node=None
-    ):
-        if vm.guest is None:
-            raise MigrationError(f"{vm.name}: no guest to migrate")
-        self.vm = vm
-        self.engine = vm.engine
-        self.destination_port = destination_port
-        #: Cross-host migration: the destination's NetworkNode (None =
-        #: same-host loopback, as the monitor's tcp:127.0.0.1 URI).
-        self.destination_node = destination_node
-        self.max_bandwidth = max_bandwidth or DEFAULT_POSTCOPY_BANDWIDTH
-        #: Capability ``dedup``: same in-chunk content collapsing as the
-        #: pre-copy path (the fill stream benefits identically).
-        self.dedup = bool(
-            getattr(vm, "migration_capabilities", {}).get("dedup", False)
-        )
-        self.stats = MigrationStats(self.engine)
+    def __init__(self, vm, destination_port, max_bandwidth=None, destination_node=None):
+        super().__init__(vm, destination_port, max_bandwidth, destination_node)
         #: True once the destination has acked the handoff — past this
         #: point the guest runs remotely, so a fill failure degrades the
         #: destination guest rather than rolling back to the source.
         self.switched_over = False
-        vm.migration_stats = self.stats
 
     def start(self):
         return self.engine.process(
@@ -91,16 +43,7 @@ class PostCopyMigration:
     def _run(self):
         vm = self.vm
         memory = vm.kvm_vm.memory
-        node = vm.host_system.net_node
-        target = self.destination_node if self.destination_node is not None else node
-        try:
-            endpoint = node.connect(target, self.destination_port)
-        except Exception as error:
-            self.stats.fail(error)
-            raise MigrationError(
-                f"cannot reach migration destination port "
-                f"{self.destination_port}: {error}"
-            ) from error
+        endpoint = self._connect()
         self.stats.status = "active"
         run_started = self.engine.now
         trace_track = f"migrate:{vm.name}"
@@ -134,70 +77,21 @@ class PostCopyMigration:
             )
         fill_started = self.engine.now
 
-        # Background page push (the guest is already running remotely).
-        real_pages = list(memory.iter_touched())
-        bulk_total = memory.bulk_touched
-        zero_total = memory.untracked_pages
-        perf = self.engine.perf
-        faults = self.engine.faults
-        index = 0
-        chunk_index = 0
-        remaining_bulk = bulk_total
-        remaining_zero = zero_total
-        while index < len(real_pages) or remaining_bulk or remaining_zero:
-            chunk_index += 1
-            if faults is not None:
-                try:
-                    faults.on_postcopy_chunk(self, chunk_index)
-                except MigrationError as error:
-                    # Fill transport died after switchover: the guest
-                    # keeps running at the destination with the residual
-                    # remote-fault penalty of its missing pages.  The
-                    # orchestrator re-homes the tenant as degraded.
-                    self.stats.fail(error)
-                    endpoint.close()
-                    if tracer.enabled:
-                        tracer.instant(
-                            "migration.postcopy_aborted",
-                            "migration",
-                            track=trace_track,
-                            args={"chunk": chunk_index, "error": str(error)},
-                        )
-                    raise
-            batch = real_pages[index : index + CHUNK_PAGES]
-            index += len(batch)
-            room = CHUNK_PAGES - len(batch)
-            bulk_now = min(remaining_bulk, room)
-            remaining_bulk -= bulk_now
-            zero_now = min(remaining_zero, max((room - bulk_now) * 64, 0))
-            remaining_zero -= zero_now
-            entries = memory.read_many(batch)
-            dedup_table = ()
-            if self.dedup and entries:
-                unique, table = dedup_entries(entries)
-                if table:
-                    entries = unique
-                    dedup_table = table
-                    self.stats.pages_deduped += len(table)
-                    perf.migration_pages_deduped += len(table)
-            chunk = RamChunk(
-                entries,
-                bulk_pages=bulk_now,
-                zero_pages=zero_now,
-                dedup_table=dedup_table,
-            )
+        # Background page push (the guest is already running remotely):
+        # pacing overlaps delivery, since nothing waits on the stream.
+        for _batch, chunk in self._chunks(
+            memory,
+            list(memory.iter_touched()),
+            memory.bulk_touched,
+            memory.untracked_pages,
+        ):
             pace = self.engine.timeout(chunk.wire_bytes / self.max_bandwidth)
             delivery = endpoint.send(
                 Packet(chunk.wire_bytes, payload=chunk, kind="migration")
             )
             yield self.engine.all_of([pace, delivery])
             yield self._expect_ack(endpoint)
-            self.stats.ram_bytes += chunk.wire_bytes
-            self.stats.pages_transferred += chunk.page_count
-            self.stats.zero_pages += zero_now
             self.stats.iterations = 1
-            perf.migration_chunks += 1
-            perf.migration_pages += chunk.page_count
 
         yield endpoint.send(Packet(32, payload=PostCopyDone(), kind="migration"))
         yield self._expect_ack(endpoint)
@@ -232,101 +126,26 @@ class PostCopyMigration:
             )
         return self.stats
 
-    def _expect_ack(self, endpoint):
-        return endpoint.recv()
-
-
-class PostCopyDestination:
-    """Receive side of a post-copy migration."""
-
-    def __init__(self, vm, port):
-        self.vm = vm
-        self.port = port
-        self.engine = vm.engine
-        self.node = vm.host_system.net_node
-        self.listener = self.node.listen(port)
-        self.completed = False
-
-    def start(self):
-        return self.engine.process(
-            self._run(), name=f"postcopy-in:{self.vm.name}:{self.port}"
-        )
-
-    def _run(self):
-        from repro.hypervisor.exits import ExitReason
-        from repro.sim.process import ChannelClosed
-
+    def _before_chunk(self, number):
+        """Fault seam ahead of fill chunk ``number``."""
+        faults = self.engine.faults
+        if faults is None:
+            return
         try:
-            result = yield from self._run_inner(ExitReason)
-            return result
-        except ChannelClosed:
-            # The fill stream died after switchover: keep the adopted
-            # guest (it runs with the residual remote-fault penalty) or,
-            # if the handoff never arrived, exit like `qemu -incoming`.
-            if self.vm.guest is None:
-                self.vm.quit()
-            if self.node.listener(self.port) is not None:
-                self.node.close_port(self.port)
-            return None
-
-    def _run_inner(self, ExitReason):
-        connection = yield self.listener.accept()
-        endpoint = connection.server
-        memory = self.vm.kvm_vm.memory
-        depth = self.vm.kvm_vm.depth
-        cost_model = self.vm.host_system.cost_model
-        guest = None
-        total_pages = 1
-        received_pages = 0
-        while True:
-            packet = yield endpoint.recv()
-            payload = packet.payload
-            if isinstance(payload, DeviceState):
-                yield self.engine.timeout(2.0e-3)
-            elif isinstance(payload, PostCopyHandoff):
-                memory._next_alloc = max(memory._next_alloc, payload.alloc_floor)
-                guest = payload.guest_system
-                total_pages = max(payload.total_pages, 1)
-                self.vm.adopt_guest(guest)
-                self._update_fault_penalty(guest, received_pages, total_pages)
-                endpoint.send(Packet(ACK_BYTES, payload=Ack(), kind="migration"))
-            elif isinstance(payload, RamChunk):
-                cost = 0.0
-                for gpfn, content in payload.entries:
-                    outcome = memory.write(gpfn, content)
-                    cost += cost_model.write_outcome_cost(outcome, depth)
-                if payload.dedup_table:
-                    entries = payload.entries
-                    for gpfn, idx in payload.dedup_table:
-                        outcome = memory.write(gpfn, entries[idx][1])
-                        cost += cost_model.write_outcome_cost(outcome, depth)
-                if payload.bulk_pages:
-                    memory.touch_bulk(payload.bulk_pages)
-                    cost += payload.bulk_pages * (
-                        cost_model.minor_fault_cost
-                        + cost_model.exit_cost(ExitReason.EPT_VIOLATION, depth)
-                    )
-                cost += payload.zero_pages * SCAN_COST_PER_PAGE
-                if cost > 0:
-                    yield self.engine.timeout(cost)
-                received_pages += payload.page_count
-                if guest is not None:
-                    self._update_fault_penalty(guest, received_pages, total_pages)
-                endpoint.send(Packet(ACK_BYTES, payload=Ack(), kind="migration"))
-            elif isinstance(payload, PostCopyDone):
-                if guest is not None:
-                    guest.kernel.extra_op_latency = 0.0
-                endpoint.send(Packet(ACK_BYTES, payload=Ack(), kind="migration"))
-                break
-            else:
-                raise MigrationError(f"unexpected postcopy payload {payload!r}")
-        self.node.close_port(self.port)
-        self.completed = True
-        return self.vm
-
-    @staticmethod
-    def _update_fault_penalty(guest, received_pages, total_pages):
-        missing_fraction = max(0.0, 1.0 - received_pages / total_pages)
-        guest.kernel.extra_op_latency = (
-            FAULT_TOUCH_RATE * missing_fraction * REMOTE_FAULT_RTT
-        )
+            faults.on_postcopy_chunk(self, number)
+        except MigrationError as error:
+            # Fill transport died after switchover: the guest keeps
+            # running at the destination with the residual remote-fault
+            # penalty of its missing pages.  The orchestrator re-homes
+            # the tenant as degraded.
+            self.stats.fail(error)
+            self._endpoint.close()
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.instant(
+                    "migration.postcopy_aborted",
+                    "migration",
+                    track=f"migrate:{self.vm.name}",
+                    args={"chunk": number, "error": str(error)},
+                )
+            raise

@@ -28,6 +28,8 @@ from repro.migration.transport import (
     Ack,
     Complete,
     DeviceState,
+    PostCopyDone,
+    PostCopyHandoff,
     RamChunk,
     dedup_entries,
 )
@@ -47,39 +49,27 @@ THROTTLE_MAX = 0.99
 SCAN_COST_PER_PAGE = 1.2e-7
 
 
-class PreCopyMigration:
-    """The source side of one pre-copy migration."""
+class MigrationSource:
+    """What every migration source shares: the connection, the RAM
+    chunk stream (:meth:`_chunks`) and the checked acknowledgement.
+
+    :class:`PreCopyMigration` and
+    :class:`~repro.migration.postcopy.PostCopyMigration` differ only in
+    when they hand the guest over and how they pace each chunk.
+    """
 
     def __init__(
-        self,
-        vm,
-        destination_host="127.0.0.1",
-        destination_port=4444,
-        max_bandwidth=None,
-        max_downtime=None,
-        chunk_pages=CHUNK_PAGES,
-        destination_node=None,
+        self, vm, destination_port=4444, max_bandwidth=None, destination_node=None
     ):
         if vm.guest is None:
             raise MigrationError(f"{vm.name}: no guest to migrate")
         self.vm = vm
         self.engine = vm.engine
-        self.destination_host = destination_host
         self.destination_port = destination_port
         #: Cross-host migration: the destination's NetworkNode.  None
         #: keeps QEMU's same-host loopback behaviour (tcp:127.0.0.1).
         self.destination_node = destination_node
         self.max_bandwidth = max_bandwidth or DEFAULT_MAX_BANDWIDTH
-        self.max_downtime = max_downtime or DEFAULT_MAX_DOWNTIME
-        self.chunk_pages = chunk_pages
-        #: QEMU capability: delta-encode resent pages against a sender
-        #: cache (``migrate_set_capability xbzrle on``).
-        self.xbzrle = bool(
-            getattr(vm, "migration_capabilities", {}).get("xbzrle", False)
-        )
-        #: XBZRLE cache-hit probability for a resent page (pages that
-        #: changed beyond recognition miss and ship in full).
-        self.xbzrle_hit_ratio = 0.85
         #: Capability ``dedup``: collapse identical page contents within
         #: a chunk to one copy plus back-references.  KSM-heavy tenants
         #: (many pages interned to the same record) migrate in a
@@ -88,16 +78,116 @@ class PreCopyMigration:
         self.dedup = bool(
             getattr(vm, "migration_capabilities", {}).get("dedup", False)
         )
+        self.stats = MigrationStats(self.engine)
+        self._endpoint = None
+        vm.migration_stats = self.stats
+
+    def _connect(self):
+        node = self.vm.host_system.net_node
+        target = self.destination_node if self.destination_node is not None else node
+        try:
+            self._endpoint = node.connect(target, self.destination_port)
+        except Exception as error:
+            self.stats.fail(error)
+            raise MigrationError(
+                f"cannot reach migration destination port "
+                f"{self.destination_port}: {error}"
+            ) from error
+        return self._endpoint
+
+    def _before_chunk(self, number):
+        """Runs before chunk ``number`` of a population is read (the
+        post-copy fill hangs its fault seam here)."""
+
+    def _chunks(self, memory, gpfns, bulk_pages, zero_pages):
+        """Cut a page population into flow-controlled :class:`RamChunk` s.
+
+        Yields ``(batch, chunk)``, ``batch`` being the chunk's slice of
+        ``gpfns``.  Each chunk carries up to :data:`CHUNK_PAGES` pages:
+        materialized pages first, then bulk pages, with zero markers
+        (64 to a page slot) filling what is left.  Dedup
+        back-references are booked as the chunk is built; its wire
+        bytes and pages are booked when the caller resumes the
+        generator, i.e. once the destination has acked it.
+        """
+        stats = self.stats
+        perf = self.engine.perf
+        number = 0
+        index = 0
+        while index < len(gpfns) or bulk_pages > 0 or zero_pages > 0:
+            number += 1
+            self._before_chunk(number)
+            batch = gpfns[index : index + CHUNK_PAGES]
+            index += len(batch)
+            room = CHUNK_PAGES - len(batch)
+            bulk_now = min(bulk_pages, room)
+            bulk_pages -= bulk_now
+            room -= bulk_now
+            zero_now = min(zero_pages, max(room * 64, 0))
+            zero_pages -= zero_now
+            entries = memory.read_many(batch)
+            dedup_table = ()
+            if self.dedup and entries:
+                unique, table = dedup_entries(entries)
+                if table:
+                    entries = unique
+                    dedup_table = table
+                    stats.pages_deduped += len(table)
+                    perf.migration_pages_deduped += len(table)
+            chunk = RamChunk(
+                entries,
+                bulk_pages=bulk_now,
+                zero_pages=zero_now,
+                dedup_table=dedup_table,
+            )
+            yield batch, chunk
+            stats.ram_bytes += chunk.wire_bytes
+            stats.pages_transferred += chunk.page_count
+            stats.zero_pages += zero_now
+            perf.migration_chunks += 1
+            perf.migration_pages += chunk.page_count
+
+    def _expect_ack(self, endpoint):
+        ack_event = endpoint.recv()
+
+        def _check(event):
+            if event.ok and not isinstance(event.value.payload, Ack):
+                raise MigrationError(
+                    f"protocol error: expected Ack, got {event.value.payload!r}"
+                )
+
+        ack_event.callbacks.append(_check)
+        return ack_event
+
+
+class PreCopyMigration(MigrationSource):
+    """The source side of one pre-copy migration."""
+
+    def __init__(
+        self,
+        vm,
+        destination_port=4444,
+        max_bandwidth=None,
+        max_downtime=None,
+        destination_node=None,
+    ):
+        super().__init__(vm, destination_port, max_bandwidth, destination_node)
+        self.max_downtime = max_downtime or DEFAULT_MAX_DOWNTIME
+        #: QEMU capability: delta-encode resent pages against a sender
+        #: cache (``migrate_set_capability xbzrle on``).
+        self.xbzrle = bool(
+            getattr(vm, "migration_capabilities", {}).get("xbzrle", False)
+        )
+        #: XBZRLE cache-hit probability for a resent page (pages that
+        #: changed beyond recognition miss and ship in full).
+        self.xbzrle_hit_ratio = 0.85
         self._pages_sent_before = set()
         self._bulk_sent_once = False
         self.xbzrle_pages = 0
-        self.stats = MigrationStats(self.engine)
         self.cancelled = False
         self._switchover_started = False
         self._process = None
         self._tracker = None
-        self._endpoint = None
-        vm.migration_stats = self.stats
         vm.active_migration = self
 
     def start(self):
@@ -195,17 +285,7 @@ class PreCopyMigration:
         memory = vm.kvm_vm.memory
         tracker = DirtyTracker(memory, self.engine)
         self._tracker = tracker
-        node = vm.host_system.net_node
-        target = self.destination_node if self.destination_node is not None else node
-        try:
-            endpoint = node.connect(target, self.destination_port)
-        except Exception as error:
-            self.stats.fail(error)
-            raise MigrationError(
-                f"cannot reach migration destination port "
-                f"{self.destination_port}: {error}"
-            ) from error
-        self._endpoint = endpoint
+        endpoint = self._connect()
 
         self.stats.status = "active"
         tracker.start()
@@ -377,55 +457,21 @@ class PreCopyMigration:
         if scan_cost > 0:
             yield self.engine.timeout(scan_cost)
 
-        perf = self.engine.perf
         sent_before = self._pages_sent_before
-        index = 0
-        remaining_bulk = bulk_pages
-        remaining_zero = zero_pages
-        while index < len(gpfns) or remaining_bulk > 0 or remaining_zero > 0:
-            batch = gpfns[index : index + self.chunk_pages]
-            index += len(batch)
-            room = self.chunk_pages - len(batch)
-            bulk_now = min(remaining_bulk, room)
-            remaining_bulk -= bulk_now
-            room -= bulk_now
-            zero_now = min(remaining_zero, max(room * 64, 0))
-            remaining_zero -= zero_now
-            entries = memory.read_many(batch)
-            dedup_table = ()
-            if self.dedup and entries:
-                unique, table = dedup_entries(entries)
-                if table:
-                    entries = unique
-                    dedup_table = table
-                    self.stats.pages_deduped += len(table)
-                    perf.migration_pages_deduped += len(table)
-            xbzrle_now = 0
+        for batch, chunk in self._chunks(memory, gpfns, bulk_pages, zero_pages):
             if self.xbzrle:
                 # Chunk-local set intersection instead of a per-gpfn
                 # membership loop against the full sent-pages set.
                 # With dedup active only the pages still shipping in
                 # full are candidates for delta encoding.
-                if dedup_table:
-                    resent = len(
-                        sent_before.intersection(
-                            [gpfn for gpfn, _ in entries]
-                        )
-                    )
-                else:
-                    resent = len(sent_before.intersection(batch))
+                resent = len(
+                    sent_before.intersection([gpfn for gpfn, _ in chunk.entries])
+                )
                 if self._bulk_sent_once:
-                    resent += bulk_now
-                xbzrle_now = int(resent * self.xbzrle_hit_ratio)
-                self.xbzrle_pages += xbzrle_now
-            sent_before.update(batch)
-            chunk = RamChunk(
-                entries,
-                bulk_pages=bulk_now,
-                zero_pages=zero_now,
-                xbzrle_pages=xbzrle_now,
-                dedup_table=dedup_table,
-            )
+                    resent += chunk.bulk_pages
+                chunk.xbzrle_pages = int(resent * self.xbzrle_hit_ratio)
+                self.xbzrle_pages += chunk.xbzrle_pages
+                sent_before.update(batch)
             packet = Packet(chunk.wire_bytes, payload=chunk, kind="migration")
             # QEMU's rate limiter counts bytes written to the socket per
             # window, and the blocking write doesn't return until the
@@ -436,24 +482,16 @@ class PreCopyMigration:
             yield endpoint.send(packet)
             yield self._expect_ack(endpoint)
             sent_bytes += chunk.wire_bytes
-            self.stats.ram_bytes += chunk.wire_bytes
-            self.stats.pages_transferred += chunk.page_count
-            self.stats.zero_pages += zero_now
-            perf.migration_chunks += 1
-            perf.migration_pages += chunk.page_count
         return sent_bytes
 
-    def _expect_ack(self, endpoint):
-        ack_event = endpoint.recv()
 
-        def _check(event):
-            if event.ok and not isinstance(event.value.payload, Ack):
-                raise MigrationError(
-                    f"protocol error: expected Ack, got {event.value.payload!r}"
-                )
-
-        ack_event.callbacks.append(_check)
-        return ack_event
+#: Round-trip latency of one post-copy remote page fault (userfaultfd +
+#: network).
+REMOTE_FAULT_RTT = 3.5e-4
+#: Fraction of guest operations that touch a not-yet-resident page when
+#: post-copy residency is zero (working-set locality keeps this well
+#: under 1).
+FAULT_TOUCH_RATE = 0.18
 
 
 class MigrationDestination:
@@ -505,8 +543,6 @@ class MigrationDestination:
         return self.vm
 
     def _receive_loop(self, endpoint, memory, depth, cost_model):
-        from repro.migration.postcopy import PostCopyDone, PostCopyHandoff
-
         guest = None
         postcopy_total = 1
         postcopy_received = 0
@@ -557,8 +593,6 @@ class MigrationDestination:
 
     @staticmethod
     def _postcopy_penalty(guest, received_pages, total_pages):
-        from repro.migration.postcopy import FAULT_TOUCH_RATE, REMOTE_FAULT_RTT
-
         missing = max(0.0, 1.0 - received_pages / total_pages)
         guest.kernel.extra_op_latency = (
             FAULT_TOUCH_RATE * missing * REMOTE_FAULT_RTT

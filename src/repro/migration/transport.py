@@ -127,6 +127,28 @@ class Complete:
         self.bulk_pages_total = bulk_pages_total
 
 
+class PostCopyHandoff:
+    """Post-copy control message: switch over now, pages to follow.
+
+    Carries the guest like :class:`Complete`; ``total_pages`` lets the
+    destination price the remote-fault penalty of the pages still
+    missing.
+    """
+
+    __slots__ = ("guest_system", "alloc_floor", "total_pages")
+
+    def __init__(self, guest_system, alloc_floor, total_pages):
+        self.guest_system = guest_system
+        self.alloc_floor = alloc_floor
+        self.total_pages = total_pages
+
+
+class PostCopyDone:
+    """Post-copy control message: every page is resident."""
+
+    __slots__ = ()
+
+
 class Ack:
     """Per-chunk flow-control acknowledgement."""
 

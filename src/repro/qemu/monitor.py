@@ -208,7 +208,7 @@ class QemuMonitor:
             args = args[1:]
         if len(args) != 1 or not args[0].startswith("tcp:"):
             raise MonitorError("migrate: expected tcp:<host>:<port> URI")
-        _tcp, host, port = args[0].split(":")
+        _tcp, _host, port = args[0].split(":")
         if self.vm.migration_capabilities.get("postcopy-ram"):
             from repro.migration.postcopy import PostCopyMigration
 
@@ -222,7 +222,6 @@ class QemuMonitor:
 
             migration = PreCopyMigration(
                 self.vm,
-                destination_host=host,
                 destination_port=int(port),
                 max_bandwidth=getattr(self.vm, "migration_max_bandwidth", None),
                 max_downtime=getattr(self.vm, "migration_max_downtime", None),
