@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-shard bench-smoke lint trace-smoke matrix-smoke probes-smoke obs-report
+.PHONY: test test-fast test-chaos test-fork-determinism test-ksm-park test-probes test-shard bench bench-quick bench-shard bench-smoke lint trace-smoke matrix-smoke probes-smoke obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -22,6 +22,13 @@ test-chaos:
 # by name in the Actions summary.
 test-fork-determinism:
 	$(PYTHON) -m pytest tests/test_fleet_fanout.py -x -q -k determinism
+
+# The KSM parking oracle: an idle ksmd parked on the memory epochs must
+# match a polling ksmd (one wake every sleep_millisecs) on seeded
+# fleets, a chaos plan, a warm-fork branch, stop/start while parked and
+# a write at exactly a wake boundary.
+test-ksm-park:
+	$(PYTHON) -m pytest tests/test_ksm_park.py -x -q
 
 # The probe-catalog suite: the conformance kit (every registered probe
 # × every contract check), the differential pins against the

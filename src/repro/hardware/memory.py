@@ -218,6 +218,9 @@ class PhysicalMemory(MemoryDomain):
         self._ksm = None
         self._mergeable_generation = 0
         self._write_epoch = 0
+        # The KSM daemon parked until either epoch above moves, or None
+        # (see KsmDaemon.memory_moved): each bump below checks it.
+        self._epoch_waiter = None
         # Fork-shared divergence ledger: record -> None for every page
         # record this memory shares with a snapshot it was forked from
         # (None outside a fork — the write path pays one is-None check).
@@ -337,6 +340,7 @@ class PhysicalMemory(MemoryDomain):
         clone._ksm = _deepcopy(self._ksm, memo)
         clone._mergeable_generation = self._mergeable_generation
         clone._write_epoch = self._write_epoch
+        clone._epoch_waiter = _deepcopy(self._epoch_waiter, memo)
         if self._fork_shared is None:
             clone._fork_shared = None
         else:
@@ -422,6 +426,8 @@ class PhysicalMemory(MemoryDomain):
         if mergeable:
             self._mergeable[pfn] = None
             self._mergeable_generation += 1
+            if self._epoch_waiter is not None:
+                self._epoch_waiter.memory_moved()
             self._add_candidate(pfn, record)
         return pfn
 
@@ -466,6 +472,8 @@ class PhysicalMemory(MemoryDomain):
             if self._ksm is not None:
                 self._ksm.forget_pfn(pfn)
             self._mergeable_generation += 1
+            if self._epoch_waiter is not None:
+                self._epoch_waiter.memory_moved()
 
     def frame(self, pfn):
         """Return the Frame for ``pfn`` or None when untouched."""
@@ -557,6 +565,8 @@ class PhysicalMemory(MemoryDomain):
             outcome.cow_broken = True
             if frame.mergeable:
                 self._write_epoch += 1
+                if self._epoch_waiter is not None:
+                    self._epoch_waiter.memory_moved()
                 self._add_candidate(pfn, new_record)
         else:
             was_shared = frame.ksm_shared
@@ -580,6 +590,8 @@ class PhysicalMemory(MemoryDomain):
             frame.record = new_record
             if frame.mergeable:
                 self._write_epoch += 1
+                if self._epoch_waiter is not None:
+                    self._epoch_waiter.memory_moved()
                 if was_shared:
                     # The frame just left the stable tree, so the pfn
                     # re-enters the candidate set with its fresh record.

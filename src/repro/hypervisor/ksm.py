@@ -75,6 +75,10 @@ class KsmDaemon:
         self._trace_track = f"ksm:{machine.name}"
         self._idle = False
         self._idle_marks = (None, None)
+        # While idle the loop parks on one pending Event instead of a
+        # timer chain; _parked_at is the time the chain counts from.
+        self._parked = None
+        self._parked_at = 0.0
         self._process = None
         self.running = False
 
@@ -108,6 +112,8 @@ class KsmDaemon:
         clone._trace_track = self._trace_track
         clone._idle = self._idle
         clone._idle_marks = self._idle_marks
+        clone._parked = _deepcopy(self._parked, memo)
+        clone._parked_at = self._parked_at
         clone._process = _deepcopy(self._process, memo)
         clone.running = self.running
         return clone
@@ -129,14 +135,20 @@ class KsmDaemon:
 
         The copy machinery advances it to the bare yield, where it
         stands in for the original generator suspended on its sleep
-        timeout — the copied timeout delivers into it and the loop
-        continues exactly as the original would have.
+        timeout or its parked event — the copied event delivers into it
+        and the loop continues exactly as the original would have.
         """
         return self._run(resuming=True)
 
     def stop(self):
-        """Stop scanning (existing merges remain, as with run=0)."""
+        """Stop scanning (existing merges remain, as with run=0).
+
+        A parked loop is released to its next wake boundary, where it
+        ends exactly as a sleeping one would.
+        """
         self.running = False
+        if self._parked is not None:
+            self.memory_moved()
 
     @property
     def pages_shared(self):
@@ -152,18 +164,57 @@ class KsmDaemon:
 
     def _run(self, resuming=False):
         if resuming:
-            # Stand-in for the original generator parked on its sleep
-            # timeout: nothing before this yield creates events or
-            # touches counters, so splicing in here is invisible.
+            # Stand-in for the original generator suspended on its sleep
+            # timeout or parked event: nothing before this yield creates
+            # events or touches counters, so splicing in here is
+            # invisible.
             yield
             if not self.running:
                 return
             self._wake()
+        memory = self.memory
         while self.running:
-            yield self.engine.timeout(self.sleep_seconds)
+            if (
+                self._idle
+                and memory._epoch_waiter is None
+                and self._marks() == self._idle_marks
+            ):
+                # Every wake until the memory epochs move would return
+                # at once: sleep through them on one event instead.
+                # (A second loop on this memory — a restart before the
+                # stopped loop's last wake — keeps polling.)
+                event = self._parked = self.engine.event()
+                self._parked_at = self.engine.now
+                memory._epoch_waiter = self
+                yield event
+            else:
+                yield self.engine.timeout(self.sleep_seconds)
             if not self.running:
                 return
             self._wake()
+
+    def memory_moved(self):
+        """Unpark: the memory epochs moved (or :meth:`stop` was called).
+
+        Schedules the parked event at the first wake boundary at or
+        after now, accumulated exactly as the timer chain would have
+        (``parked_at + s + s + ...``), so the wake — and every scan,
+        merge and pass start after it — lands at the same virtual time
+        as with polling.  A change at exactly a boundary is seen by the
+        wake at that boundary.
+        """
+        self.memory._epoch_waiter = None
+        event = self._parked
+        self._parked = None
+        engine = self.engine
+        now = engine.now
+        step = self.sleep_seconds
+        when = self._parked_at + step
+        while when < now:
+            when += step
+        event._ok = True
+        event._value = None
+        engine._enqueue_at(event, when)
 
     def _marks(self):
         memory = self.memory
@@ -237,10 +288,6 @@ class KsmDaemon:
             # until the memory epochs move again.
             self._idle = True
             self._idle_marks = self._pass_start_marks
-
-    def _scan_one(self, pfn):
-        """Scan a single page (kept for targeted tests and callers)."""
-        self._scan_batch((pfn,))
 
     def _scan_batch(self, pfns):
         """Scan a batch of pages: digest sweep first, merges second.

@@ -517,6 +517,19 @@ class Engine:
         event.when = when
         heapq.heappush(self._queue, (when, next(self._sequence), event))
 
+    def _enqueue_at(self, event, when):
+        """Queue ``event`` to fire at absolute virtual time ``when``.
+
+        Unlike ``_enqueue(event, delay=when - now)`` the fire time is
+        taken as given, so a time computed by accumulation elsewhere
+        (the KSM wake boundaries) lands on the heap bit for bit.
+        """
+        if when < self._now:
+            raise SimulationError(f"enqueue in the past: {when} < {self._now}")
+        self.perf.heap_pushes += 1
+        event.when = when
+        heapq.heappush(self._queue, (when, next(self._sequence), event))
+
     def step(self):
         """Process the single next event; returns False when queue is empty."""
         queue = self._queue

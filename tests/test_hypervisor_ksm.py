@@ -127,6 +127,11 @@ def test_idle_fast_path_engages_and_recovers(machine, ksm):
     machine.memory.allocate(b"pair", mergeable=True)
     _settle(machine, 2.0)
     assert ksm._idle  # nothing left to do
+    # Parked on the memory epochs: no 20 ms timer left on the queue.
+    assert ksm._parked is not None
+    assert machine.memory._epoch_waiter is ksm
+    assert ksm._process._waiting_on is ksm._parked
+    assert machine.engine._queue == []
     merged_before = ksm.stats.pages_merged_total
     machine.memory.allocate(b"fresh", mergeable=True)
     machine.memory.allocate(b"fresh", mergeable=True)
