@@ -66,10 +66,10 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 
-#: Pinned walls and fingerprints, keyed by entry name.  The walls were
-#: recorded best-of-two on the commit preceding the hot-path overhaul
-#: (later entries: their first clean measurement); the fingerprints are
-#: the ground truth the engine must still produce bit-for-bit.
+#: Pinned fingerprints, keyed by entry name: the ground truth the
+#: engine must still produce bit-for-bit.  No walls are pinned — a wall
+#: recorded on another machine says nothing about this one; gates
+#: compare legs measured back to back in one run instead.
 BASELINE_PATH = os.path.join(BENCH_DIR, "baseline.json")
 
 
@@ -95,7 +95,7 @@ class Entry(NamedTuple):
     """One bench entry.  ``legs`` maps leg names to functions of the
     value the untimed ``setup`` context yields, returning
     ``(fingerprint, perf_counters, extras)``.  The ``primary`` leg's
-    wall and fingerprint are compared against ``baseline`` (a
+    fingerprint is compared against ``baseline`` (a
     ``baseline.json`` key, default the entry's own name), and every
     ``(leg, leg, field)`` in ``same`` must be equal."""
 
@@ -281,7 +281,7 @@ def _chaos_plans():
     """The 12 branch plans: one fault-free, one per fault kind, and four
     seed variants of the ``mixed`` plan.  At 8 branches the speedup sits
     near the 2x gate; the seed variants amortize the one-shot warm-up
-    into a robust win, which is how `fan_out_seeds` is used."""
+    into a robust win, the way seed-varied fan-outs use it."""
     plans = [("none", None)]
     for kind in FAULT_KINDS:
         rng = RngRegistry(42).stream(f"faults.kind.{kind}")
@@ -564,8 +564,8 @@ def measure(entry):
 
 def evaluate(entry, legs, baseline):
     """Fold one entry's measured legs into its report dict: the primary
-    leg against its ``baseline`` record, the ``same`` pairs, and every
-    gate."""
+    leg's fingerprint against its ``baseline`` record, the ``same``
+    pairs, and every gate."""
     base = baseline[entry.baseline or entry.name]
     primary = legs[entry.primary]
 
@@ -590,11 +590,8 @@ def evaluate(entry, legs, baseline):
         }
     legs_match = all(legs[a][field] == legs[b][field] for a, b, field in entry.same)
     matches = legs_match and primary["fingerprint"] == base["fingerprint"]
-    wall = primary["wall"]
     return {
-        "wall_seconds": round(wall, 3),
-        "baseline_wall_seconds": base["wall_seconds"],
-        "improvement_pct": round(100.0 * (1.0 - wall / base["wall_seconds"]), 1),
+        "wall_seconds": round(primary["wall"], 3),
         "repeats": entry.repeats,
         "legs": {
             name: dict(leg["extras"], wall_seconds=round(leg["wall"], 3))
@@ -615,10 +612,7 @@ def _gate_text(name, result):
 
 def describe(name, entry):
     """The one report line for an evaluated entry."""
-    parts = [
-        f"{entry['wall_seconds']:.3f}s vs baseline {entry['baseline_wall_seconds']:.3f}s "
-        f"({entry['improvement_pct']:+.1f}% faster)"
-    ]
+    parts = [f"{entry['wall_seconds']:.3f}s"]
     if len(entry["legs"]) > 1:
         walls = (f"{leg} {data['wall_seconds']:.3f}s" for leg, data in entry["legs"].items())
         parts.append(", ".join(walls))

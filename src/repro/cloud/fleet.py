@@ -133,24 +133,32 @@ class FleetRunResult:
     def probe_metrics(self, since_seconds=0.0):
         """Per-tenant detector probe time (the Fig 5/6 overhead axis).
 
-        Reads the ``detect.probe_seconds`` counters the monitoring
-        service records per tenant (tracer must be enabled during the
-        run), relative to the virtual window since ``since_seconds`` —
-        pass the warm-up's ``engine.now`` to scope a forked branch.
-        ``math.fsum`` keeps the total exact and order-independent, so
-        it equals the scenario's total detector virtual time.
+        Sums each probe verdict's virtual span (``finished_at -
+        started_at``) per tenant, over every sweep the monitor ran;
+        crashed-host findings carry no verdicts and add nothing.  The
+        window is relative to ``since_seconds`` — pass the warm-up's
+        ``engine.now`` to scope a forked branch.  Spans add up per
+        (tenant, probe) in sweep order and then per tenant in sorted
+        probe order, so the numbers match the traced
+        ``detect.probe_seconds`` counters bit for bit; ``math.fsum``
+        keeps the total exact and order-independent.
         """
         import math
 
-        engine = self.datacenter.engine
-        window = engine.now - since_seconds
+        spans = {}
+        for report in self.monitor.reports:
+            for host_report in report.host_reports.values():
+                for finding in host_report.findings:
+                    for probe, verdict in finding.probe_verdicts.items():
+                        key = (probe, finding.tenant_name)
+                        spans[key] = spans.get(key, 0) + (
+                            verdict.finished_at - verdict.started_at
+                        )
         probe_seconds = {}
-        for label_key, value in self.tracer.metrics.values(
-            "detect.probe_seconds"
-        ):
-            tenant = dict(label_key).get("tenant", "unknown")
+        for (_probe, tenant), value in sorted(spans.items()):
             probe_seconds[tenant] = probe_seconds.get(tenant, 0.0) + value
         total = math.fsum(probe_seconds.values())
+        window = self.datacenter.engine.now - since_seconds
         return {
             "window_virtual_seconds": window,
             "probe_seconds": probe_seconds,
@@ -408,22 +416,6 @@ class WarmFleet:
                 gc.collect()
         return out
 
-    def fan_out_detector_configs(self, configs, **branch_params):
-        """One branch per detector budget, e.g. ``{"file_pages": 25,
-        "wait_seconds": 20.0}`` — the paper's probe-budget sweep without
-        re-warming the fleet per configuration."""
-        return self.fan_out([dict(branch_params, **c) for c in configs])
-
-    def fan_out_seeds(self, count, **branch_params):
-        """``count`` branches differing only in the attack campaign's
-        RNG stream — same fleet, independent attacker draws."""
-        return self.fan_out(
-            [
-                dict(branch_params, campaign_stream=f"cloud.campaign#{index}")
-                for index in range(count)
-            ]
-        )
-
     def dispose(self):
         """Release the snapshot's page-store references."""
         if self.snapshot is not None:
@@ -621,7 +613,6 @@ def run_fleet(
     overcommit=1.0,
     trace=False,
     faults=None,
-    from_snapshot=None,
     shards=1,
 ):
     """Run one complete fleet experiment; returns a FleetRunResult.
@@ -645,28 +636,9 @@ def run_fleet(
     migration retries, campaigns with no reachable target) degrade the
     run instead of raising.  An empty plan leaves the run byte-identical
     to ``faults=None``.
-
-    ``from_snapshot`` skips the warm-up entirely: pass a
-    :class:`WarmFleet` (or the :class:`~repro.sim.snapshot.
-    EngineSnapshot` a :func:`warm_fleet` captured) and only the
-    branch phase runs, on a fork of the warmed state.  The warm-phase
-    parameters (``hosts``/``tenants``/``seed``/``churn_operations``/
-    ``rebalance_moves``/``overcommit``/``trace``) were fixed at capture
-    time and are ignored; ``faults`` arm relative to the fork point.
     """
     params = locals()
     branch = {key: params[key] for key in BRANCH_KEYS if key in params}
-    if from_snapshot is not None:
-        if not isinstance(from_snapshot, WarmFleet):
-            root = from_snapshot.root
-            if not (isinstance(root, tuple) and len(root) == 4):
-                raise CloudError(
-                    "from_snapshot needs a warm_fleet() capture whose root "
-                    "is (datacenter, placer, churn, orchestrator); got "
-                    f"{type(root).__name__}"
-                )
-            from_snapshot = WarmFleet(*root, snapshot=from_snapshot)
-        return from_snapshot.branch(shards=shards, **branch)
     fleet, injector = _warm(
         hosts, tenants, seed, churn_operations, rebalance_moves, overcommit,
         trace, faults=faults,

@@ -63,19 +63,6 @@ class PageRecord:
             digest = self._digest = content_digest(self.content)
         return digest
 
-    def __deepcopy__(self, memo):
-        # Content bytes are immutable and the cached digest transfers;
-        # a flat copy sidesteps the reduce machinery.  Engine snapshots
-        # never reach this (records are memo-preseeded to themselves) —
-        # it serves standalone deepcopies of memories in tests/tools.
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        memo[id(self)] = clone
-        clone.content = self.content
-        clone.refs = self.refs
-        clone._digest = self._digest
-        return clone
-
     def __repr__(self):
         return f"<PageRecord {len(self.content)}B refs={self.refs}>"
 
@@ -97,7 +84,9 @@ class PageStore:
     def __deepcopy__(self, memo):
         # Flat table copy: keys are immutable bytes (shared), records
         # route through the memo so snapshot forks keep sharing them by
-        # identity while standalone deepcopies still duplicate.
+        # identity while standalone deepcopies still duplicate.  Every
+        # fork copies each memory's table; the generic path also walks
+        # the keys, which doubles this copy's cost.
         cls = self.__class__
         clone = cls.__new__(cls)
         memo[id(self)] = clone

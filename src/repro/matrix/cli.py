@@ -76,7 +76,7 @@ def cmd_matrix_expand(args):
     return 0
 
 
-def _run_matrix(args, capture_metrics=False):
+def _run_matrix(args):
     from repro.matrix.runner import MatrixRunner
 
     spec = _load_spec(args)
@@ -84,7 +84,6 @@ def _run_matrix(args, capture_metrics=False):
         spec,
         processes=args.processes,
         warm_fork=not getattr(args, "cold", False),
-        capture_metrics=capture_metrics,
     )
     report = runner.run(only=args.only, no=args.no)
     return spec, report
@@ -93,8 +92,7 @@ def _run_matrix(args, capture_metrics=False):
 def cmd_matrix_run(args):
     import os
 
-    capture_metrics = bool(args.obs_out or args.probe_budget is not None)
-    spec, report = _run_matrix(args, capture_metrics=capture_metrics)
+    spec, report = _run_matrix(args)
     print(report.summary())
     if args.report_out:
         report.write(args.report_out)

@@ -84,9 +84,8 @@ class MatrixReport:
             rendered = dict(entry)
             if not include_timing:
                 rendered.pop("wall_seconds", None)
-                # Per-variant metric capture rides outside the pinned
-                # canonical form, like wall clocks, so pins don't churn
-                # when capture is toggled on.
+                # Per-variant metrics ride outside the pinned canonical
+                # form, like wall clocks.
                 rendered.pop("metrics", None)
             entries.append(rendered)
         groups = []
@@ -130,7 +129,9 @@ class MatrixReport:
             return cls.from_dict(json.load(handle))
 
     def variant_metrics(self):
-        """``{variant_id: metrics}`` for entries that captured metrics."""
+        """``{variant_id: metrics}`` for entries that carry metrics
+        (every entry of a run; a report loaded from canonical JSON has
+        none)."""
         return {
             entry["variant"]: entry["metrics"]
             for entry in self.entries
@@ -140,8 +141,7 @@ class MatrixReport:
     def probe_budget_violations(self, budget_pct):
         """Variants whose probe overhead exceeds ``budget_pct`` percent.
 
-        Returns ``[(variant_id, overhead_pct)]`` sorted worst-first;
-        needs the run to have captured per-variant metrics.
+        Returns ``[(variant_id, overhead_pct)]`` sorted worst-first.
         """
         violations = [
             (variant_id, metrics["probe_overhead_pct"])

@@ -59,25 +59,21 @@ def _perf_delta(engine, warm_perf):
     }
 
 
-def _variant_entry(variant, result, capture_metrics):
+def _variant_entry(variant, result):
     params = {}
     for key, value in sorted(variant.params.items()):
         params[key] = list(value) if isinstance(value, tuple) else value
-    entry = {
+    return {
         "variant": variant.variant_id,
         "axes": dict(variant.labels),
         "params": params,
         "fingerprint": branch_fingerprint(result),
         "perf_delta": _perf_delta(result.datacenter.engine, result.branch_perf),
         "wall_seconds": round(result.branch_wall_seconds, 3),
-    }
-    if capture_metrics:
         # Per-variant probe-overhead attribution; excluded from the
         # canonical JSON (like wall clocks) so pins don't churn.
-        entry["metrics"] = result.probe_metrics(
-            since_seconds=result.branched_at
-        )
-    return entry
+        "metrics": result.probe_metrics(since_seconds=result.branched_at),
+    }
 
 
 class MatrixRunner:
@@ -87,13 +83,7 @@ class MatrixRunner:
     only parallelism (whole branches spread over forked workers).
     """
 
-    def __init__(
-        self,
-        spec,
-        processes=None,
-        warm_fork=True,
-        capture_metrics=False,
-    ):
+    def __init__(self, spec, processes=None, warm_fork=True):
         if processes is not None and processes < 1:
             raise MatrixError(
                 f"--processes must be >= 1, got {processes}"
@@ -101,9 +91,6 @@ class MatrixRunner:
         self.spec = spec
         self.processes = processes
         self.warm_fork = warm_fork
-        #: Trace every variant and record per-tenant probe-overhead
-        #: metrics in each entry (outside the canonical JSON).
-        self.capture_metrics = capture_metrics
         #: FleetRunResults in expansion order (serial runs only).
         self.results = []
 
@@ -129,16 +116,13 @@ class MatrixRunner:
             jobs.append((variant_id, params))
 
         def score(variant_id, result):
-            return _variant_entry(
-                variants[variant_id], result, self.capture_metrics
-            )
+            return _variant_entry(variants[variant_id], result)
 
         groups, entries = fan_out_jobs(
             jobs,
             score,
             processes=self.processes,
             warm_fork=self.warm_fork,
-            trace=self.capture_metrics,
             keep_results=self.results,
         )
         report = MatrixReport(self.spec.name)

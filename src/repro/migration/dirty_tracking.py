@@ -65,15 +65,6 @@ class DirtyBitmap:
         self.words.clear()
         self._count = None
 
-    def __deepcopy__(self, memo):
-        # Words map int -> int, so a shallow dict copy is an exact deep
-        # copy; skipping the generic reduce path keeps engine snapshot
-        # forks (repro.sim.snapshot) from walking every word object.
-        clone = DirtyBitmap(dict(self.words))
-        clone._count = self._count
-        memo[id(self)] = clone
-        return clone
-
     def __contains__(self, pfn):
         word = self.words.get(pfn >> WORD_SHIFT)
         return word is not None and (word >> (pfn & 63)) & 1 == 1

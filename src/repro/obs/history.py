@@ -163,7 +163,7 @@ def bench_history_record(report, quick=False, timestamp=None):
     """Condense one perf-report dict into a ledger line.
 
     Every bench entry has one shape, so every entry condenses the same
-    way: its wall clock and baseline, the gate and fingerprint verdicts,
+    way: its wall clock, the gate and fingerprint verdicts,
     and — for entries that compare legs — each leg's wall clock under
     ``leg_wall_seconds``.  The bulky fingerprints and metric dumps stay
     in ``BENCH_core.json``; the ledger is a trajectory, not an archive.
@@ -178,7 +178,6 @@ def bench_history_record(report, quick=False, timestamp=None):
             key: entry[key]
             for key in (
                 "wall_seconds",
-                "baseline_wall_seconds",
                 "within_budget",
                 "fingerprint_matches_baseline",
             )

@@ -23,30 +23,6 @@ def cmd_probes_list(args):
     return 0
 
 
-def _diff_expected(actual, expected):
-    """Leaf-level diff of two score-report dicts; returns message list."""
-
-    def walk(a, b, path):
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(set(a) | set(b)):
-                if key not in a:
-                    yield f"{path}.{key}: missing from actual"
-                elif key not in b:
-                    yield f"{path}.{key}: missing from expected"
-                else:
-                    yield from walk(a[key], b[key], f"{path}.{key}")
-        elif isinstance(a, list) and isinstance(b, list):
-            if len(a) != len(b):
-                yield f"{path}: length {len(a)} != expected {len(b)}"
-            else:
-                for index, (left, right) in enumerate(zip(a, b)):
-                    yield from walk(left, right, f"{path}[{index}]")
-        elif a != b:
-            yield f"{path}: {a!r} != expected {b!r}"
-
-    return list(walk(actual, expected, "report"))
-
-
 def cmd_probes_score(args):
     """Run the probe×attack ScoreMatrix; exit 1 on expected-score drift."""
     from repro.probes.score import ATTACKS, ScoreMatrix
@@ -75,17 +51,15 @@ def cmd_probes_score(args):
             handle.write(report.to_json())
         print(f"score report written to {args.report_out}", file=sys.stderr)
     if args.expected:
+        from repro.obs.history import diff_runs, format_diff
+
         with open(args.expected, "r", encoding="utf-8") as handle:
             expected = json.load(handle)
-        drift = _diff_expected(report.as_dict(), expected)
-        if drift:
-            print(
-                f"score drift vs {args.expected} "
-                f"({len(drift)} difference(s)):",
-                file=sys.stderr,
-            )
-            for line in drift[:20]:
-                print(f"  {line}", file=sys.stderr)
+        drift = diff_runs(
+            expected, report.as_dict(), old_label=args.expected, new_label="run"
+        )
+        if not drift["clean"]:
+            print(format_diff(drift, top=20), file=sys.stderr)
             return 1
         print(f"scores match {args.expected}", file=sys.stderr)
     return 0

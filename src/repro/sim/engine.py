@@ -495,14 +495,6 @@ class Engine:
 
         return capture(self, root=root, label=label)
 
-    def fork(self, snapshot):
-        """Fork an independent branch off ``snapshot`` (must be ours)."""
-        from repro.sim.snapshot import SnapshotError
-
-        if snapshot.engine is not self:
-            raise SnapshotError("snapshot belongs to a different engine")
-        return snapshot.fork()
-
     def all_of(self, events):
         """Composite event firing when all ``events`` have fired."""
         return AllOf(self, events)

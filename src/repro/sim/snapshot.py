@@ -155,10 +155,6 @@ class Fork:
         self.pages_shared = pages_shared
         self._disposed = False
 
-    @property
-    def disposed(self):
-        return self._disposed
-
     def dispose(self):
         """Release every page-store reference this branch holds."""
         if self._disposed:
@@ -166,13 +162,6 @@ class Fork:
         self._disposed = True
         for memory in self.engine._memories:
             memory.release_fork_records()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.dispose()
-        return False
 
     def __repr__(self):
         state = "disposed" if self._disposed else "live"
@@ -235,13 +224,6 @@ class EngineSnapshot:
         self._disposed = True
         for memory in self._pristine_engine._memories:
             memory.release_fork_records()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.dispose()
-        return False
 
     def __repr__(self):
         label = f" {self.label!r}" if self.label else ""

@@ -11,7 +11,7 @@ All tests here run whole fleet experiments, so the module carries the
 
 import pytest
 
-from repro.cloud import run_fleet, warm_fleet
+from repro.cloud import warm_fleet
 from repro.faults import ChaosCampaign
 from repro.faults.chaos import standard_mix_plan
 from repro.faults.plan import FaultError
@@ -69,20 +69,6 @@ def test_forked_detection_sweep_matches_cold_determinism(warmed):
     assert forked == cold
 
 
-def test_run_fleet_from_snapshot_api(warmed):
-    plan = standard_mix_plan("infra", 1701, faults=3, horizon=240.0)
-    via_api = _fingerprint(
-        run_fleet(faults=plan, from_snapshot=warmed, **BRANCH_PARAMS)
-    )
-    direct = _fingerprint(warmed.branch(faults=plan, **BRANCH_PARAMS))
-    assert via_api == direct
-    # The raw EngineSnapshot works too.
-    via_snapshot = _fingerprint(
-        run_fleet(faults=plan, from_snapshot=warmed.snapshot, **BRANCH_PARAMS)
-    )
-    assert via_snapshot == direct
-
-
 def test_fan_out_drivers(warmed):
     # Per-detector-config: distinct budgets, distinct sweep outcomes
     # allowed — but each must be internally scored.
@@ -90,13 +76,20 @@ def test_fan_out_drivers(warmed):
         {"file_pages": 12, "wait_seconds": 10.0},
         {"file_pages": 25, "wait_seconds": 20.0},
     ]
-    by_config = warmed.fan_out_detector_configs(configs, campaigns=1, sweeps=1)
+    by_config = warmed.fan_out(
+        [dict(campaigns=1, sweeps=1, **config) for config in configs]
+    )
     assert len(by_config) == 2
     assert all(result.monitor.reports for result in by_config)
 
     # Per-seed: same fleet, independent attacker streams; same stream
     # twice must reproduce exactly.
-    seeded = warmed.fan_out_seeds(2, **BRANCH_PARAMS)
+    seeded = warmed.fan_out(
+        [
+            dict(BRANCH_PARAMS, campaign_stream=f"cloud.campaign#{index}")
+            for index in range(2)
+        ]
+    )
     assert len(seeded) == 2
     repeat = warmed.branch(
         campaign_stream="cloud.campaign#0", **BRANCH_PARAMS

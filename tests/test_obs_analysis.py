@@ -261,13 +261,55 @@ def test_probe_overhead_conserves_detector_time_in_fleet():
         entry["probe_us"] for entry in overhead["tenants"].values()
     )
     assert per_tenant == overhead["total_probe_us"]
-    # Cross-check against the live-metrics view the matrix runner uses:
-    # same number from detect.probe_seconds counters, in seconds.
+    # Cross-check against the verdict-derived view the matrix runner
+    # uses: the same number, in seconds.
     metrics = result.probe_metrics()
     assert set(metrics["probe_seconds"]) == set(overhead["tenants"])
     assert metrics["probe_seconds_total"] * 1e6 == pytest.approx(
         overhead["total_probe_us"], rel=1e-9
     )
+
+
+def _counter_probe_metrics(result, since_seconds=0.0):
+    """The per-tenant probe time as the monitoring service counts it
+    while tracing: the ``detect.probe_seconds`` counters."""
+    window = result.datacenter.engine.now - since_seconds
+    probe_seconds = {}
+    for label_key, value in result.tracer.metrics.values("detect.probe_seconds"):
+        tenant = dict(label_key)["tenant"]
+        probe_seconds[tenant] = probe_seconds.get(tenant, 0.0) + value
+    total = math.fsum(probe_seconds.values())
+    return {
+        "window_virtual_seconds": window,
+        "probe_seconds": probe_seconds,
+        "probe_seconds_total": total,
+        "probe_overhead_pct": 100.0 * total / window,
+    }
+
+
+@pytest.mark.parametrize("probes", [None, "ksm_timing+vmi_invariance+dedup_spy"])
+def test_probe_metrics_need_no_trace(probes):
+    """Probe time comes from the sweep verdicts, so an untraced run
+    reports exactly what the traced counters record."""
+    from repro.cloud import run_fleet, warm_fleet
+
+    params = dict(
+        hosts=2, tenants=4, seed=7, churn_operations=0, rebalance_moves=0,
+    )
+    branch = dict(
+        campaigns=1, sweeps=2, file_pages=8, wait_seconds=10.0, probes=probes
+    )
+    untraced = run_fleet(**params, **branch).probe_metrics()
+    traced = run_fleet(trace=True, **params, **branch)
+    assert untraced == traced.probe_metrics() == _counter_probe_metrics(traced)
+    assert len(untraced["probe_seconds"]) == 4
+    assert untraced["probe_overhead_pct"] > 0
+    # A forked branch scopes the window to the branch.
+    with warm_fleet(trace=True, **params) as fleet:
+        forked = fleet.branch(**branch)
+        since = forked.branched_at
+        assert since > 0
+        assert forked.probe_metrics(since) == _counter_probe_metrics(forked, since)
 
 
 # -- run diffing -------------------------------------------------------------
@@ -522,7 +564,7 @@ def test_analyze_trace_reads_files(traced_artifacts):
     assert analysis.format(top=3)
 
 
-# -- matrix per-variant metric capture ---------------------------------------
+# -- matrix per-variant metrics -----------------------------------------------
 
 
 CAPTURE_SPEC = """\
@@ -542,11 +584,11 @@ deep:    file_pages = 16
 """
 
 
-def test_matrix_capture_metrics_rides_outside_canonical_json():
+def test_matrix_metrics_ride_outside_canonical_json():
     from repro.matrix import MatrixRunner, MatrixSpec
 
     spec = MatrixSpec.loads(CAPTURE_SPEC)
-    report = MatrixRunner(spec, capture_metrics=True).run()
+    report = MatrixRunner(spec).run()
     metrics = report.variant_metrics()
     assert set(metrics) == {"probe=shallow", "probe=deep"}
     for entry in metrics.values():
@@ -556,8 +598,8 @@ def test_matrix_capture_metrics_rides_outside_canonical_json():
             math.fsum(entry["probe_seconds"].values())
         )
         assert entry["probe_overhead_pct"] > 0
-    # Canonical JSON (the pinned surface) excludes the capture, like
-    # wall clocks; the timing form keeps it.
+    # Canonical JSON (the pinned surface) excludes the metrics, like
+    # wall clocks; the timing form keeps them.
     assert '"metrics"' not in report.to_json()
     assert '"metrics"' in report.to_json(include_timing=True)
     # The budget gate: everything violates 0%, nothing violates 1000%.

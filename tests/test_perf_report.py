@@ -59,7 +59,7 @@ def _run_main(perf_report, monkeypatch, tmp_path, legs, baseline_fingerprint=FIN
     monkeypatch.setattr(
         perf_report,
         "load_baseline",
-        lambda: {entry.name: {"wall_seconds": 1.0, "fingerprint": baseline_fingerprint}},
+        lambda: {entry.name: {"fingerprint": baseline_fingerprint}},
     )
     return perf_report.main(["-o", str(tmp_path / "report.json"), "--no-history"])
 
@@ -106,7 +106,7 @@ def test_legs_that_differ_fail_the_run(perf_report, monkeypatch, tmp_path, capsy
 def test_gate_on_an_unreported_extra_names_the_entry(perf_report):
     legs = _good_legs()
     del legs["fast"]["extras"]["messages"]
-    baseline = {"stub_entry": {"wall_seconds": 1.0, "fingerprint": FINGERPRINT}}
+    baseline = {"stub_entry": {"fingerprint": FINGERPRINT}}
     with pytest.raises(KeyError, match="stub_entry"):
         perf_report.evaluate(_stub_entry(perf_report), legs, baseline)
 
@@ -158,12 +158,13 @@ def test_every_entry_is_pinned_and_its_gates_name_its_legs(perf_report):
 
 
 def test_ledger_condenses_the_entry_shape(perf_report):
-    baseline = {"stub_entry": {"wall_seconds": 2.0, "fingerprint": FINGERPRINT}}
+    baseline = {"stub_entry": {"fingerprint": FINGERPRINT}}
     entry = perf_report.evaluate(_stub_entry(perf_report), _good_legs(), baseline)
+    # Walls are compared leg to leg within the run, never to a pinned wall.
+    assert not {"baseline_wall_seconds", "improvement_pct"} & set(entry)
     record = perf_report.bench_history_record({"stub_entry": entry}, timestamp="t")
     assert record["scenarios"]["stub_entry"] == {
         "wall_seconds": 1.0,
-        "baseline_wall_seconds": 2.0,
         "within_budget": True,
         "fingerprint_matches_baseline": True,
         "leg_wall_seconds": {"fast": 1.0, "slow": 3.0},

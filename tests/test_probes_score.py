@@ -173,3 +173,33 @@ def test_run_disposes_its_warm_snapshot(monkeypatch):
     # Two legs fork one captured warm fleet, which run() must release.
     assert len(disposed) == 1
     assert disposed[0]._disposed
+
+
+def test_score_expected_exits_one_on_drift_and_names_the_key(tmp_path, capsys):
+    """``repro probes score --expected`` on the pinned smoke grid: a
+    clean diff exits 0, one edited leaf exits 1 and is named."""
+    import json
+    import os
+
+    from repro.cli import main
+
+    pinned = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "examples", "probes", "score_smoke.expected.json",
+    )
+    argv = [
+        "probes", "score", "--seed", "7", "--hosts", "2", "--tenants", "4",
+        "--churn", "0", "--pages", "6", "--wait", "6.0", "--expected",
+    ]
+    assert main(argv + [pinned]) == 0
+    assert "scores match" in capsys.readouterr().err
+
+    with open(pinned, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    expected["attack_meta"]["cloudskulk"]["window_seconds"] += 1.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(expected), encoding="utf-8")
+    assert main(argv + [str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert "attack_meta.cloudskulk.window_seconds" in err
+    assert "1 regressions" in err
