@@ -18,11 +18,15 @@ test-chaos:
 
 # The snapshot layer's correctness bar: a branch forked off a warmed
 # fleet must fingerprint byte-identically to the same branch run cold,
-# and every hand-written __deepcopy__ must keep every field and equal
-# the generic copy by value.  CI runs this as its own named step so
-# snapshot and copy regressions surface by name in the Actions summary.
+# the engine-level snapshot contract and its guards (unresumable
+# process at the first fork, fork after the captured engine ran) must
+# hold, and every hand-written __deepcopy__ must keep every field and
+# equal the generic copy by value.  CI runs this as its own named step
+# so snapshot and copy regressions surface by name in the Actions
+# summary.
 test-fork-determinism:
 	$(PYTHON) -m pytest tests/test_fleet_fanout.py -x -q -k determinism
+	$(PYTHON) -m pytest tests/test_snapshot.py -x -q
 	$(PYTHON) -m pytest tests/test_deepcopy_fields.py -x -q
 
 # The KSM parking oracle: an idle ksmd parked on the memory epochs must

@@ -129,19 +129,6 @@ class Datacenter:
             if self.tenants[name].state == "running"
         ]
 
-    def snapshot(self, *companions, label=None):
-        """Freeze the whole datacenter (hosts, tenants, engine) for COW
-        fan-out.
-
-        Returns an :class:`~repro.sim.snapshot.EngineSnapshot` whose
-        root is this datacenter — or, when ``companions`` are given
-        (placer, churn, orchestrator, ...), the tuple ``(self,
-        *companions)`` so drivers get their control-plane objects back
-        from every fork alongside the datacenter itself.
-        """
-        root = (self, *companions) if companions else self
-        return self.engine.snapshot(root, label=label)
-
     def inventory_lines(self):
         """Deterministic per-host status lines (``repro fleet status``)."""
         lines = []

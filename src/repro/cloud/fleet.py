@@ -343,10 +343,11 @@ def _warm(
 class WarmFleet:
     """A fleet that has paid its warm-up prefix once, ready to fan out.
 
-    Produced by :func:`warm_fleet`.  When captured (the default), every
-    :meth:`branch` call forks the snapshot into an independent engine —
-    guest pages shared copy-on-write — runs the divergent suffix there,
-    and disposes the fork's page references afterwards.  When built
+    Produced by :func:`warm_fleet`.  When captured (the default), the
+    live warm world is the snapshot and is never run again: every
+    :meth:`branch` call forks it into an independent engine — guest
+    pages shared copy-on-write — runs the divergent suffix there, and
+    disposes the fork's page references afterwards.  When built
     with ``capture=False`` the single live fleet *is* the branch
     substrate: exactly one branch may run (this is the cold comparator
     the determinism tests and benchmarks diff forked branches against).
@@ -417,7 +418,7 @@ class WarmFleet:
         return out
 
     def dispose(self):
-        """Release the snapshot's page-store references."""
+        """Dispose the snapshot; later branches are refused."""
         if self.snapshot is not None:
             self.snapshot.dispose()
 
@@ -587,11 +588,14 @@ def warm_fleet(
     if settle_seconds:
         engine.run(until=engine.now + settle_seconds)
     if capture:
+        # Looked up at call time: a profiler may rebind the module's
+        # ``capture`` (and this function's ``capture`` is the flag).
+        from repro.sim import snapshot as sim_snapshot
+
         if label is None:
             label = f"fleet-{hosts}x{tenants}-s{seed}"
-        fleet.snapshot = fleet.datacenter.snapshot(
-            fleet.placer, fleet.churn, fleet.orchestrator, label=label
-        )
+        root = (fleet.datacenter, fleet.placer, fleet.churn, fleet.orchestrator)
+        fleet.snapshot = sim_snapshot.capture(engine, root, label=label)
     return fleet
 
 

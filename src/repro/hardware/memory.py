@@ -256,7 +256,7 @@ class PhysicalMemory(MemoryDomain):
 
     # -- snapshot/fork bookkeeping ----------------------------------------
 
-    def adopt_fork_records(self, track_divergence=True):
+    def adopt_fork_records(self):
         """Take one page-store reference per distinct frame.
 
         Called by :mod:`repro.sim.snapshot` right after this memory was
@@ -266,18 +266,17 @@ class PhysicalMemory(MemoryDomain):
         conservation invariant (one store reference per distinct live
         frame) to keep holding on *both* sides.
 
-        ``track_divergence`` starts the fork-shared ledger so later
-        writes that replace a shared record count as
-        ``perf.fork_cow_breaks``.  Returns the number of frames whose
-        page content is now shared instead of copied.
+        Also starts the fork-shared ledger, so later writes that
+        replace a shared record count as ``perf.fork_cow_breaks``.
+        Returns the number of frames whose page content is now shared
+        instead of copied.
         """
-        fork_shared = {} if track_divergence else None
+        fork_shared = {}
         shared = 0
         for frame in self.iter_distinct_frames():
             frame.record.refs += 1
             shared += 1
-            if fork_shared is not None:
-                fork_shared[frame.record] = None
+            fork_shared[frame.record] = None
         self._fork_shared = fork_shared
         return shared
 

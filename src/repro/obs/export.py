@@ -20,7 +20,9 @@ non-negative times), not semantics.
 import json
 import os
 import platform
+import subprocess
 
+import repro
 from repro import __version__
 from repro.obs import config as obs_config
 
@@ -135,13 +137,26 @@ def _write_json(path, document):
         handle.write("\n")
 
 
+def git_rev():
+    """``HEAD`` of the git checkout :mod:`repro` is imported from, or
+    None outside a checkout or without a ``git`` binary."""
+    command = ["git", "-C", os.path.dirname(repro.__file__), "rev-parse", "HEAD"]
+    try:
+        done = subprocess.run(
+            command, capture_output=True, text=True, timeout=10, check=True
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip()
+
+
 def write_bundle(directory, argv, seed, variants=None):
     """Write the registered tracers' observations into ``directory``.
 
     * ``trace.json`` — the merged Chrome trace (:func:`write_chrome_trace`);
     * ``metrics.json`` — :func:`metrics_json`;
     * ``manifest.json`` — what ran where: argv, seed, Python version,
-      CPU count, repro version;
+      CPU count, repro version, git rev (:func:`git_rev`);
     * ``variants.json`` — per-variant metrics, when ``variants`` is
       given (``repro matrix run``).
 
@@ -158,6 +173,7 @@ def write_bundle(directory, argv, seed, variants=None):
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "repro_version": __version__,
+            "git_rev": git_rev(),
         },
     )
     if variants is not None:

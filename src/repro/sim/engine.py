@@ -478,22 +478,11 @@ class Engine:
         """Enroll a :class:`~repro.hardware.memory.PhysicalMemory`.
 
         Registered memories have their interned page records shared *by
-        identity* (refcounted, copy-on-write) across snapshot captures
-        and forks instead of being byte-copied.
+        identity* (refcounted, copy-on-write) across snapshot forks
+        instead of being byte-copied.
         """
         self._memories.append(memory)
         return memory
-
-    def snapshot(self, root=None, label=None):
-        """Capture the full simulation state (see :mod:`repro.sim.snapshot`).
-
-        ``root`` is the domain object graph to carry along (typically a
-        :class:`~repro.cloud.datacenter.Datacenter`); everything
-        reachable from the engine *or* the root lands in the snapshot.
-        """
-        from repro.sim.snapshot import capture
-
-        return capture(self, root=root, label=label)
 
     def all_of(self, events):
         """Composite event firing when all ``events`` have fired."""

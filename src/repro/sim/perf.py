@@ -52,9 +52,9 @@ class PerfCounters:
     * ``faults_recovered`` — fault recoveries (heals, crash restores,
       stall expiries) performed by the injector;
     * ``snapshot_captures`` — engine snapshots taken
-      (:meth:`repro.sim.engine.Engine.snapshot`);
+      (:func:`repro.sim.snapshot.capture`);
     * ``engine_forks`` — independent branches forked off a snapshot
-      (counted on the parent engine that owns the snapshot);
+      (counted on the captured engine);
     * ``fork_pages_shared`` — interned page records a forked branch
       adopted by refcount instead of copying (counted on the branch);
     * ``fork_cow_breaks`` — branch writes that replaced a fork-shared

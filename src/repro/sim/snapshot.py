@@ -3,19 +3,24 @@
 The expensive part of every detection sweep, chaos campaign, and A/B
 fault study is the shared warm-up prefix: boot hosts, place tenants,
 let KSM converge.  This module lets a driver pay that prefix once —
-:func:`capture` freezes the full simulation state (event heap, timers,
-process continuations, RNG streams, perf counters) and every
-:meth:`EngineSnapshot.fork` call produces an *independent* engine whose
-guest memory shares the interned :class:`~repro.hardware.page_store.
-PageRecord` objects with the snapshot by refcount.  No page bytes are
-copied at fork time; a branch that writes a shared page diverges
-through the memory layer's ordinary intern-on-write path.
+:func:`capture` marks the live ``(engine, root)`` world as the fork
+root, and every :meth:`EngineSnapshot.fork` call produces an
+*independent* engine (event heap, timers, process continuations, RNG
+streams, perf counters) whose guest memory shares the interned
+:class:`~repro.hardware.page_store.PageRecord` objects with the warm
+world by refcount.  No page bytes are copied at fork time; a branch
+that writes a shared page diverges through the memory layer's ordinary
+intern-on-write path.
 
 Mechanics
 ---------
 
-A snapshot is one :func:`copy.deepcopy` of ``(engine, root)`` with a
-pre-seeded memo:
+Capture copies nothing, so the warm world must stay still while forks
+are taken: :meth:`EngineSnapshot.fork` raises :class:`SnapshotError`
+once the captured engine has dispatched an event or moved ``now``
+since capture (earlier forks stay valid).  A fork is one
+:func:`copy.deepcopy` of the live ``(engine, root)`` with a pre-seeded
+memo:
 
 * every resident ``PageRecord`` of every memory the engine has
   registered (:meth:`Engine.register_memory`) is entered as *itself*,
@@ -37,7 +42,8 @@ counters touched).  :meth:`Process.__deepcopy__` advances the fresh
 generator to that bare yield; the copied pending event then delivers
 its value through the copied callbacks exactly as the original would
 have.  The KSM daemon and every workload implement the protocol; a
-live process without it fails the capture loudly.
+live process without it fails the first fork loudly, before any
+branch runs.
 
 What is *not* captured: wall-clock state (perf_counter values), the
 process-global observability registry (a forked tracer's events stay
@@ -70,11 +76,11 @@ def heap_frozen():
 
     A fork loop allocates and frees one whole engine copy per branch;
     every disposed branch leaves cycles behind, and the collector's
-    full-heap passes re-scan the (large, immortal) warm fleet plus the
-    pristine snapshot each time — in practice that roughly doubles
-    per-branch wall time.  Freezing moves everything alive at entry
-    into the permanent generation so per-branch ``gc.collect()`` calls
-    only walk that branch's own garbage.  Drivers use::
+    full-heap passes re-scan the (large, immortal) warm fleet each
+    time — in practice that roughly doubles per-branch wall time.
+    Freezing moves everything alive at entry into the permanent
+    generation so per-branch ``gc.collect()`` calls only walk that
+    branch's own garbage.  Drivers use::
 
         with heap_frozen():
             for spec in branches:
@@ -114,7 +120,7 @@ def _seed_memo(memories):
     return memo
 
 
-def _copy_world(engine, root, track_divergence):
+def _copy_world(engine, root, label):
     """One shared-record deepcopy of ``(engine, root)`` + ref adoption.
 
     Returns ``(engine_copy, root_copy, pages_shared)``.
@@ -129,13 +135,15 @@ def _copy_world(engine, root, track_divergence):
     try:
         engine_copy, root_copy = copy.deepcopy((engine, root), memo)
     except (ReproError, TypeError) as exc:
-        raise SnapshotError(f"engine state is not snapshotable: {exc}") from exc
+        raise SnapshotError(
+            f"snapshot {label!r}: engine state is not snapshotable: {exc}"
+        ) from exc
     finally:
         if was_collecting:
             gc.enable()
     shared = 0
     for memory in engine_copy._memories:
-        shared += memory.adopt_fork_records(track_divergence=track_divergence)
+        shared += memory.adopt_fork_records()
     return engine_copy, root_copy, shared
 
 
@@ -169,41 +177,36 @@ class Fork:
 
 
 class EngineSnapshot:
-    """A frozen, pristine copy of an engine (plus its domain root).
+    """The live warm world (an engine plus its domain root) that every
+    :meth:`fork` copies; the engine must not run again while forks are
+    wanted."""
 
-    The capture itself is one shared-record deepcopy held aside; the
-    original engine may keep running (or be thrown away) without
-    touching the snapshot.  Each :meth:`fork` produces an independent
-    branch from the pristine copy.
-    """
-
-    def __init__(self, engine, label, pristine_engine, pristine_root, shared):
+    def __init__(self, engine, root, label):
         #: The engine the snapshot was captured from.
         self.engine = engine
+        #: The captured domain root — the live one; do not run it.
+        self.root = root
         self.label = label
-        self.captured_at = pristine_engine.now
-        self.pages_shared = shared
-        self._pristine_engine = pristine_engine
-        self._pristine_root = pristine_root
+        self.captured_at = engine.now
+        self._mark = (engine.now, engine.perf.events_dispatched)
         self._disposed = False
         self.forks_taken = 0
-
-    @property
-    def root(self):
-        """Read-only view of the captured domain root (do not run it)."""
-        return self._pristine_root
 
     def fork(self):
         """Produce an independent branch; returns a :class:`Fork`."""
         if self._disposed:
-            raise SnapshotError("snapshot has been disposed")
-        engine_copy, root_copy, shared = _copy_world(
-            self._pristine_engine, self._pristine_root, track_divergence=True
-        )
+            raise SnapshotError(f"snapshot {self.label!r} has been disposed")
+        engine = self.engine
+        if (engine.now, engine.perf.events_dispatched) != self._mark:
+            raise SnapshotError(
+                f"snapshot {self.label!r}: the captured engine ran since "
+                f"capture (now {engine.now!r}, captured at {self.captured_at!r})"
+            )
+        engine_copy, root_copy, shared = _copy_world(engine, self.root, self.label)
         self.forks_taken += 1
-        self.engine.perf.engine_forks += 1
+        engine.perf.engine_forks += 1
         engine_copy.perf.fork_pages_shared += shared
-        tracer = self.engine.tracer
+        tracer = engine.tracer
         if tracer.enabled:
             tracer.instant(
                 "snapshot.fork",
@@ -218,38 +221,28 @@ class EngineSnapshot:
         return Fork(self, engine_copy, root_copy, shared)
 
     def dispose(self):
-        """Release the pristine copy's page-store references."""
-        if self._disposed:
-            return
+        """Refuse further forks; the warm world holds no fork references."""
         self._disposed = True
-        for memory in self._pristine_engine._memories:
-            memory.release_fork_records()
 
     def __repr__(self):
         label = f" {self.label!r}" if self.label else ""
         return (
             f"<EngineSnapshot{label} at={self.captured_at:.3f}s "
-            f"shared={self.pages_shared} forks={self.forks_taken}>"
+            f"forks={self.forks_taken}>"
         )
 
 
 def capture(engine, root=None, label=None):
-    """Snapshot ``engine`` (and the ``root`` object graph) right now.
+    """Make the live ``engine`` (and the ``root`` object graph) the fork
+    root; returns an :class:`EngineSnapshot`.  Nothing is copied here.
 
     Every process alive on the engine must be resumable (see the module
-    docstring); raises :class:`SnapshotError` otherwise.  Returns an
-    :class:`EngineSnapshot`.
+    docstring), or the first fork raises :class:`SnapshotError`.
     """
-    pristine_engine, pristine_root, shared = _copy_world(
-        engine, root, track_divergence=False
-    )
     engine.perf.snapshot_captures += 1
     tracer = engine.tracer
     if tracer.enabled:
         tracer.instant(
-            "snapshot.capture",
-            "snapshot",
-            track="snapshot",
-            args={"label": label, "pages_shared": shared},
+            "snapshot.capture", "snapshot", track="snapshot", args={"label": label}
         )
-    return EngineSnapshot(engine, label, pristine_engine, pristine_root, shared)
+    return EngineSnapshot(engine, root, label)

@@ -31,7 +31,7 @@ from repro.hardware.memory import Frame, PhysicalMemory
 from repro.hardware.page_store import PageRecord, PageStore
 from repro.hypervisor.ept import GuestMemory
 from repro.hypervisor.ksm import KsmDaemon
-from repro.sim.snapshot import _seed_memo
+from repro.sim.snapshot import _seed_memo, capture
 
 #: Values a copy may hand over as they are.
 _IMMUTABLE = (
@@ -117,7 +117,7 @@ def test_ksm_daemon(world):
 def test_physical_memory(world):
     machine, _ksm, _guest = world
     # A forked memory also carries the fork-shared divergence ledger.
-    snapshot = machine.engine.snapshot()
+    snapshot = capture(machine.engine)
     fork = snapshot.fork()
     try:
         memory = fork.engine._memories[0]
@@ -287,7 +287,7 @@ def test_ksm_daemon_matches_generic_copy(world, monkeypatch):
 def test_physical_memory_matches_generic_copy(world, monkeypatch):
     # Frame keeps its override: the memory override calls it directly.
     machine, _ksm, _guest = world
-    snapshot = machine.engine.snapshot()
+    snapshot = capture(machine.engine)
     fork = snapshot.fork()
     try:
         memory = fork.engine._memories[0]

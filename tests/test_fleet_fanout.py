@@ -97,6 +97,25 @@ def test_fan_out_drivers(warmed):
     assert _fingerprint(repeat) == _fingerprint(seeded[0])
 
 
+def _host_partitions(fleet):
+    return {
+        name: host.system.machine.memory.page_store.refs_partition()
+        for name, host in sorted(fleet.datacenter.hosts.items())
+        if host.system is not None
+    }
+
+
+def test_fan_out_conserves_every_host_refs_partition():
+    # Forks share the warm world's page records by refcount; running
+    # and disposing branches must hand every reference back, host by
+    # host, so the warm world reads exactly as it did after warm-up.
+    with warm_fleet(**WARM_PARAMS) as fleet:
+        before = _host_partitions(fleet)
+        assert before and all(before.values())
+        fleet.fan_out([dict(BRANCH_PARAMS), dict(BRANCH_PARAMS, sweeps=2)])
+        assert _host_partitions(fleet) == before
+
+
 def test_live_fleet_is_single_branch():
     live = warm_fleet(capture=False, **WARM_PARAMS)
     live.branch(**BRANCH_PARAMS)

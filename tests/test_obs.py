@@ -1,6 +1,7 @@
 """The observability layer: tracer, metrics, exporters, CLI wiring."""
 
 import json
+import re
 
 import pytest
 
@@ -382,6 +383,8 @@ def test_cli_obs_out_writes_valid_trace(tmp_path, capsys):
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert manifest["argv"][-3:] == ["detect", "--pages", "8"]
     assert manifest["seed"] == 11
+    rev = manifest["git_rev"]
+    assert rev is None or re.fullmatch(r"[0-9a-f]{40}", rev)
 
 
 def test_cli_obs_out_writes_metrics(tmp_path):

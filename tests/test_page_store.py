@@ -23,6 +23,7 @@ from repro.hardware.page_store import PageStore, content_digest
 from repro.hypervisor.ksm import KsmDaemon
 from repro.migration.transport import RamChunk, dedup_entries
 from repro.sim.perf import PerfCounters
+from repro.sim.snapshot import capture
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +176,9 @@ def test_fork_dispose_refcount_conservation(seed):
 
     The snapshot layer shares `PageRecord`s by identity across forks,
     so the original store's refcount partition reflects every holder on
-    every side.  After the branch (and the snapshot's pristine copy)
-    are disposed, the partition must return to the pre-fork state
-    *exactly* — any drift means a leaked or double-released reference.
+    every side.  After the branch is disposed, the partition must
+    return to the pre-fork state *exactly* — any drift means a leaked
+    or double-released reference.
     """
     rng = random.Random(seed)
     machine = Machine(memory_mb=64, seed=seed)
@@ -207,13 +208,12 @@ def test_fork_dispose_refcount_conservation(seed):
     _ksm_pass(ksm)
     before = memory.page_store.refs_partition()
 
-    snapshot = machine.engine.snapshot(machine, label="conservation")
+    snapshot = capture(machine.engine, machine, label="conservation")
     fork = snapshot.fork()
     fork_memory = fork.root.memory
 
     # While the branch lives, every resident content's refcount is
-    # strictly elevated (pristine copy + fork each adopted one ref per
-    # distinct frame).
+    # strictly elevated (the fork adopted one ref per distinct frame).
     during = memory.page_store.refs_partition()
     assert set(during) == set(before)
     assert all(during[content] > before[content] for content in before)

@@ -104,6 +104,7 @@ def test_restore_inside_forked_branch_leaves_parent_stream_alone():
     # carries a deep-copied registry, so state()/restore() gymnastics
     # inside the branch never move the parent's live streams.
     from repro.hardware.machine import Machine
+    from repro.sim.snapshot import capture
 
     machine = Machine(memory_mb=16, seed=33)
     parent_rng = machine.rng
@@ -112,7 +113,7 @@ def test_restore_inside_forked_branch_leaves_parent_stream_alone():
     continuation = RngRegistry(seed=0).restore(mark)
     expected = [continuation.stream("campaign").random() for _ in range(4)]
 
-    snapshot = machine.engine.snapshot(machine, label="rng-isolation")
+    snapshot = capture(machine.engine, machine, label="rng-isolation")
     fork = snapshot.fork()
     fork_rng = fork.root.rng
     assert fork_rng is not parent_rng

@@ -13,8 +13,11 @@ its contract at the engine/machine level:
 * a fork resumes the original timeline byte-identically (same KSM
   passes, same perf counters) — the fleet-level twin of this check
   lives in test_fleet_fanout.py;
-* a live process without the resumable protocol fails the capture
-  loudly instead of silently dropping state.
+* capture copies nothing, so the live world is the fork root: a live
+  process without the resumable protocol fails the first fork loudly
+  instead of silently dropping state, a fork after the captured engine
+  ran is refused, and a fork taken after a sibling ran and was disposed
+  sees the same world the sibling saw.
 """
 
 import gc
@@ -24,7 +27,7 @@ import pytest
 from repro.hardware.machine import Machine
 from repro.hypervisor.ksm import KsmDaemon
 from repro.obs.export import metrics_json
-from repro.sim.snapshot import SnapshotError, heap_frozen
+from repro.sim.snapshot import SnapshotError, capture, heap_frozen
 
 #: Perf counters that legitimately differ between a forked engine and
 #: the original timeline (the fork pays bookkeeping the original never
@@ -67,7 +70,7 @@ def test_fork_shares_pages_and_diverges_cow():
     saved_before = memory.pages_saved_by_sharing
     assert saved_before > 0
 
-    snapshot = engine.snapshot(machine, label="unit")
+    snapshot = capture(engine, machine, label="unit")
     fork_a = snapshot.fork()
     fork_b = snapshot.fork()
     assert fork_a.pages_shared == fork_b.pages_shared > 0
@@ -99,7 +102,7 @@ def test_counters_instants_and_gauges():
     machine, _ksm, _pfns = _warm_machine(seed=3)
     engine = machine.engine
     engine.tracer.enable()
-    snapshot = engine.snapshot(machine, label="counted")
+    snapshot = capture(engine, machine, label="counted")
     assert engine.perf.snapshot_captures == 1
     fork = snapshot.fork()
     assert engine.perf.engine_forks == 1
@@ -121,7 +124,7 @@ def test_counters_instants_and_gauges():
 def test_fork_resumes_original_timeline_byte_identically():
     machine, _ksm, _pfns = _warm_machine(seed=29)
     engine = machine.engine
-    snapshot = engine.snapshot(machine, label="determinism")
+    snapshot = capture(engine, machine, label="determinism")
     fork_a = snapshot.fork()
     fork_b = snapshot.fork()
 
@@ -142,7 +145,7 @@ def test_fork_resumes_original_timeline_byte_identically():
     snapshot.dispose()
 
 
-def test_unresumable_process_fails_capture_loudly():
+def test_unresumable_process_fails_first_fork_loudly():
     machine = Machine(memory_mb=16, seed=1)
     engine = machine.engine
 
@@ -150,13 +153,58 @@ def test_unresumable_process_fails_capture_loudly():
         yield engine.timeout(1000.0)
 
     engine.process(opaque(), name="opaque")
-    with pytest.raises(SnapshotError):
-        engine.snapshot(machine)
+    snapshot = capture(engine, machine, label="opaque-world")
+    with pytest.raises(SnapshotError, match="opaque-world.*opaque"):
+        snapshot.fork()
+    assert snapshot.forks_taken == 0
+
+
+def test_fork_after_captured_engine_ran_fails_loudly():
+    machine, _ksm, _pfns = _warm_machine(seed=5)
+    engine = machine.engine
+    snapshot = capture(engine, machine, label="moved")
+    early = snapshot.fork()
+    engine.run(until=engine.now + 1.0)
+    with pytest.raises(SnapshotError, match="'moved'.*ran since capture"):
+        snapshot.fork()
+    # A fork taken before the original ran is its own world and stays
+    # runnable.
+    early.engine.run(until=engine.now)
+    assert early.engine.now == engine.now
+    early.dispose()
+    snapshot.dispose()
+
+
+def test_fork_after_disposed_sibling_ran_sees_the_same_world():
+    # Forks copy the live warm world, so a branch that ran and was
+    # disposed must leave nothing behind for the next sibling.  Each
+    # sibling breaks COW and adds pages for KSM to merge, so a page
+    # store or daemon shared with the warm world shows as a mismatch.
+    machine, _ksm, pfns = _warm_machine(seed=17)
+    snapshot = capture(machine.engine, machine, label="siblings")
+    outcomes = []
+    for _sibling in range(2):
+        fork = snapshot.fork()
+        memory = fork.root.memory
+        memory.write(pfns[0], b"sibling write")
+        for _ in range(4):
+            memory.allocate(b"sibling template", mergeable=True)
+        fork.engine.run(until=120.0)
+        outcomes.append(
+            (
+                _comparable_perf(fork.engine),
+                fork.engine.now,
+                memory.pages_saved_by_sharing,
+            )
+        )
+        fork.dispose()
+    snapshot.dispose()
+    assert outcomes[1] == outcomes[0]
 
 
 def test_disposed_snapshot_refuses_forks():
     machine = Machine(memory_mb=16, seed=1)
-    snapshot = machine.engine.snapshot(machine)
+    snapshot = capture(machine.engine, machine)
     snapshot.dispose()
     with pytest.raises(SnapshotError):
         snapshot.fork()
@@ -195,7 +243,7 @@ def test_empty_never_booted_machine_captures_and_forks():
     machine = Machine(memory_mb=16, seed=2)
     engine = machine.engine
     assert engine.now == 0.0
-    snapshot = engine.snapshot(machine, label="empty")
+    snapshot = capture(engine, machine, label="empty")
     fork = snapshot.fork()
     assert fork.engine.now == 0.0
     assert fork.pages_shared == 0

@@ -15,6 +15,7 @@ from repro.guest.syscalls import SYSCALL_PROFILES
 from repro.qemu.config import DriveSpec, QemuConfig
 from repro.qemu.qemu_img import host_images
 from repro.qemu.vm import launch_vm
+from repro.sim.snapshot import capture
 from repro.workloads.filebench import FILEBENCH_OP
 
 SEED = 23
@@ -191,7 +192,7 @@ def test_forked_branch_replays_copied_plan():
     host, victim = _build(2)
     victim.kernel.syscall_costs(FILEBENCH_OP)
     before = _exit_counts(victim)
-    snapshot = host.engine.snapshot(root=(host, victim), label="plan")
+    snapshot = capture(host.engine, (host, victim), label="plan")
     states = []
     for run in (_fused, _per_syscall):
         fork = snapshot.fork()
